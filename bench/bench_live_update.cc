@@ -508,9 +508,9 @@ int main(int argc, char** argv) {
         double max_submit = 0;
         for (uint32_t i = 0; i < submissions; ++i) {
           submit_at[i] = timer.ElapsedSeconds();
-          (*live)->SubmitAsync(
-              queries, &cq, i,
-              Deadline::AfterSeconds(overload_deadline_seconds));
+          (*live)->Submit(
+              {queries, Deadline::AfterSeconds(overload_deadline_seconds)},
+              cq.CompletionFor(i));
           max_submit =
               std::max(max_submit, timer.ElapsedSeconds() - submit_at[i]);
         }

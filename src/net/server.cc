@@ -354,7 +354,8 @@ void TkcServer::HandleQueryRequest(Connection* conn,
       PendingBatch{conn->serial, request.request_id,
                    static_cast<uint32_t>(request.queries.size())};
   ++conn->inflight;
-  live_->SubmitAsync(std::move(request.queries), &cq_, tag, deadline);
+  live_->Submit(BatchRequest{std::move(request.queries), deadline},
+                cq_.CompletionFor(tag));
 }
 
 void TkcServer::HandleStatsRequest(Connection* conn, uint64_t request_id) {

@@ -67,7 +67,7 @@
 /// Deadline semantics over the wire: deadline_ms is a *budget*, not an
 /// absolute instant (clocks are not assumed synchronized). The server
 /// starts the deadline at frame decode and propagates it into
-/// LiveQueryEngine::SubmitAsync, so a backed-up request queue sheds by
+/// LiveQueryEngine::Submit, so a backed-up request queue sheds by
 /// remaining budget exactly as an in-process submission would — the client
 /// sees explicit Timeout / ResourceExhausted verdicts, never silence.
 

@@ -36,10 +36,11 @@
 /// the cache can hold — and translates to a budget of capacity *
 /// kOutcomeWeight units. Capacity 0 disables the cache entirely.
 ///
-/// The cache is deliberately *not* internally synchronized — QueryEngine
-/// guards it with its own mutex so lookup-miss-insert sequences and the
-/// hit/eviction counters stay coherent under concurrent batches. Use it
-/// directly only from one thread.
+/// QueryCache is deliberately *not* internally synchronized: use it
+/// directly only from one thread. The serving engine reaches it only
+/// through StripedQueryCache (below), whose per-stripe mutexes guard each
+/// stripe's lookup-miss-insert sequences and hit/eviction counters under
+/// concurrent batches.
 
 namespace tkc {
 

@@ -1,11 +1,11 @@
 #ifndef TKC_SERVE_QUERY_ENGINE_H_
 #define TKC_SERVE_QUERY_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -26,39 +26,41 @@
 /// the repo's per-call measurement harness (RunAlgorithm) into a server-
 /// shaped subsystem:
 ///
-///  * **Sharding.** ServeBatch shards the batch dynamically across the
-///    pool's workers; every query touches the graph read-only, so batches
-///    are embarrassingly parallel and callable concurrently from any number
-///    of client threads.
+///  * **Two schedulers, one pipeline.** ServeBatch runs a batch on the
+///    calling thread, sharding its distinct misses over the pool with the
+///    caller as one of the workers (a batch answered entirely from the
+///    cache never leaves the caller). Submit enqueues a batch on a bounded
+///    MPSC request queue and returns immediately: a pool-resident
+///    dispatcher drains the queue and fans each batch's distinct misses out
+///    as individual pool tasks, so clients keep issuing while earlier
+///    batches run and no pool worker ever blocks on a batch barrier; the
+///    finished BatchResult goes to the submission's Completion. Futures
+///    (SubmitAsync) and completion queues (BatchCompletionQueue::
+///    CompletionFor) are adapters over Submit. Both schedulers share the
+///    same pre-scan, miss execution and duplicate fan-out, and any number
+///    of client threads may call either concurrently. An unlimited-deadline
+///    Submit blocks on a full request queue (backpressure). On a 1-thread
+///    pool the async path degenerates to synchronous inline execution,
+///    trivially deterministic.
 ///  * **Zero steady-state allocation.** Each in-flight query checks a
 ///    VctBuildArena out of an internal free list (growing only to the peak
 ///    concurrency ever observed) so the CoreTime phase recycles all scratch.
 ///  * **Admission index.** At construction the engine can build a full PHC
-///    index (all k-slices) over the graph's time span, replicated
-///    `num_index_replicas` times for NUMA-friendly read paths, and derive a
-///    per-k *core-emergence table*: min over vertices of CT_ts(u) for every
-///    start ts. A query whose range provably contains no temporal k-core
-///    (k beyond the global kmax, or emergence after the range end) is then
+///    index (all k-slices) over the graph's time span and derive a per-k
+///    *core-emergence table*: min over vertices of CT_ts(u) for every start
+///    ts. A query whose range provably contains no temporal k-core (k
+///    beyond the global kmax, or emergence after the range end) is then
 ///    answered in O(1) with the exact empty outcome the full pipeline would
 ///    produce — no build, no allocation.
 ///  * **Memoization.** Completed outcomes are stored in a bounded LRU
 ///    (serve/query_cache.h) keyed by (k, range), so repeated-query
 ///    workloads are served at lookup cost; admission rejections are stored
-///    as compact tombstones (1/16th of a full slot). The LRU is
-///    hash-striped (StripedQueryCache): concurrent workers touching
-///    different keys never serialize on a single cache lock, and every
-///    serve counter is a relaxed atomic aggregated on read — the only
-///    engine-wide mutex left on the hot path guards the arena free list.
-///  * **Async submission.** SubmitAsync enqueues a batch on a bounded MPSC
-///    request queue and returns immediately with a std::future (or routes
-///    the finished BatchResult to a caller-owned BatchCompletionQueue): a
-///    pool-resident dispatcher drains the queue and fans each batch's
-///    distinct misses out as individual pool tasks, so clients keep
-///    issuing while earlier batches run and no pool worker ever blocks on
-///    a batch barrier. An unlimited-deadline submission blocks on a full
-///    request queue (legacy backpressure). On a 1-thread pool the whole
-///    path degenerates to synchronous inline execution, trivially
-///    deterministic.
+///    as compact tombstones (1/16th of a full slot). Duplicate queries
+///    inside one batch execute once. The LRU is hash-striped
+///    (StripedQueryCache): concurrent workers touching different keys never
+///    serialize on a single cache lock, and every serve counter is a
+///    relaxed atomic aggregated on read — the only engine-wide mutex left
+///    on the hot path guards the arena free list.
 ///  * **Deadline-aware admission & shedding.** Every submission may carry a
 ///    Deadline. An already-expired batch is dropped (every outcome
 ///    `Status::Timeout`) at submission or dispatch instead of executing,
@@ -101,33 +103,17 @@ struct QueryEngineOptions {
   ThreadPool* index_build_pool = nullptr;
 
   /// LRU capacity of the (k, range) -> outcome memo; 0 disables caching.
+  /// The memo is split into StripedQueryCache::kDefaultStripes lock
+  /// stripes, capped by the capacity (capacity 1 is one exact LRU).
   size_t cache_capacity = 1024;
 
-  /// Lock stripes of the query cache (see StripedQueryCache): concurrent
-  /// batches touching different stripes never serialize on the memo. 0
-  /// takes the default; 1 degenerates to a single globally-LRU cache —
-  /// exact single-lock semantics for tests and measurement.
-  size_t cache_stripes = 0;
-
-  /// Recycle VctBuildArena scratch across queries (zero steady-state
-  /// allocation). Off, every query builds with fresh scratch — the mode the
-  /// memory figures need, where a query's reported peak must be its own
-  /// working set rather than an arena high-water mark.
-  bool reuse_arenas = true;
-
-  /// Collapse duplicate queries inside one ServeBatch call: each distinct
-  /// (k, range) executes once and every duplicate gets a copy of its
-  /// outcome, deterministically at any thread count. Off for measurement
-  /// paths, where every submitted query must execute.
-  bool dedup_batches = true;
-
-  /// Per-query deadline applied by Serve/ServeBatch unless the call
-  /// overrides it; <= 0 means unlimited.
+  /// Execution budget of every query, on top of its batch's deadline
+  /// (whichever is earlier); <= 0 means unlimited.
   double per_query_limit_seconds = 0;
 
   /// Build the PHC admission index (and emergence tables) at construction.
   /// Costs one full multi-k index build up front; pays for itself on
-  /// workloads with empty-result queries. Off for pure measurement paths.
+  /// workloads with empty-result queries.
   bool build_index = false;
 
   /// Cap on the admission index's largest k-slice (0 = the span's kmax).
@@ -139,18 +125,9 @@ struct QueryEngineOptions {
   /// pipeline.
   uint32_t index_max_k = 0;
 
-  /// Read-path replicas of the admission index (>= 1). Point-lookup APIs
-  /// round-robin across replicas. Since PhcIndex slices moved behind
-  /// shared_ptr (so snapshots can share them across live-update rebuilds),
-  /// replicas alias the same slice storage — the round-robin only spreads
-  /// the top-level index objects, not the slice allocations, so this no
-  /// longer buys socket-local reads. Kept for API stability; a future
-  /// deep-copy mode could restore NUMA replication where it matters.
-  int num_index_replicas = 1;
-
   /// Bound of the async submission queue: at most this many batches wait
-  /// for dispatch; further SubmitAsync calls block until room frees up
-  /// (producer backpressure, never an unbounded backlog).
+  /// for dispatch; further unlimited-deadline Submit calls block until
+  /// room frees up (producer backpressure, never an unbounded backlog).
   size_t async_queue_capacity = 256;
 
   /// Serve the admission index from this prebuilt PHC index (typically
@@ -180,7 +157,14 @@ struct QueryEngineOptions {
   const std::vector<PhcRebuildStats::SuffixBand>* emergence_bands = nullptr;
 };
 
-/// The completed answer to one asynchronously submitted batch.
+/// One batch submission: the queries and the deadline bounding the whole
+/// batch (unlimited by default).
+struct BatchRequest {
+  std::vector<Query> queries;
+  Deadline deadline;
+};
+
+/// The completed answer to one submitted batch.
 struct BatchResult {
   std::vector<RunOutcome> outcomes;  ///< outcomes[i] answers queries[i]
   /// Version of the graph snapshot the batch executed against — 0 from a
@@ -191,12 +175,19 @@ struct BatchResult {
   uint64_t tag = 0;
 };
 
-/// A caller-owned queue of finished batches — the completion-queue flavor
-/// of async submission for event-loop-shaped clients that multiplex many
-/// in-flight batches without holding futures. The engine pushes each
-/// finished BatchResult (stamped with the submission's tag); the client
-/// pops with Next/TryNext. Bounded: a slow consumer eventually blocks the
-/// pool workers delivering completions, which is the intended backpressure.
+/// Receives a submitted batch's result exactly once — on a pool thread,
+/// inline on a 1-thread pool, or on the submitter's thread when the batch
+/// is dropped at submission. Whatever it captures lives until the batch's
+/// in-flight state is released, after the engine stops touching the batch;
+/// the live layer relies on that to keep the pinned snapshot alive.
+using Completion = std::function<void(BatchResult&&)>;
+
+/// A caller-owned queue of finished batches for event-loop-shaped clients
+/// that multiplex many in-flight batches without holding futures: submit
+/// with CompletionFor(tag), and the engine pushes each finished BatchResult
+/// stamped with its tag; the client pops with Next/TryNext. Bounded: a slow
+/// consumer eventually blocks the pool workers delivering completions,
+/// which is the intended backpressure.
 class BatchCompletionQueue {
  public:
   explicit BatchCompletionQueue(size_t capacity = 1024) : queue_(capacity) {}
@@ -225,6 +216,16 @@ class BatchCompletionQueue {
 
   size_t pending() const { return queue_.size(); }
 
+  /// A completion that stamps `tag` on the result and delivers it here.
+  /// This queue must outlive the delivery (drain the engine before
+  /// destroying it).
+  Completion CompletionFor(uint64_t tag) {
+    return [this, tag](BatchResult&& result) {
+      result.tag = tag;
+      Deliver(std::move(result));
+    };
+  }
+
   /// Engine-side delivery (blocks while the queue is full; unblocked — with
   /// the result dropped — by Shutdown()). Two scoped acquisitions bracket
   /// the potentially-blocking Push, which must not run under the mutex (it
@@ -250,7 +251,8 @@ class BatchCompletionQueue {
 
 /// Monotone counters describing everything an engine has served.
 struct ServeStats {
-  uint64_t batches = 0;          ///< ServeBatch calls (Serve counts as 1)
+  /// ServeBatch calls plus Submit batches that got past dispatch.
+  uint64_t batches = 0;
   uint64_t queries_served = 0;   ///< total queries answered
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;     ///< lookups that fell through (cache on)
@@ -258,14 +260,14 @@ struct ServeStats {
   uint64_t index_rejections = 0;  ///< answered empty from the admission index
   uint64_t batch_dedup_hits = 0;  ///< served as in-batch duplicates
   uint64_t executed = 0;          ///< ran the full algorithm
-  uint64_t async_batches = 0;     ///< batches that arrived via SubmitAsync
+  uint64_t async_batches = 0;     ///< batches that arrived via Submit
   /// Batches shed with ResourceExhausted by the full-queue eviction contest
   /// (the evicted queued batch or the rejected incoming one, one per event).
   uint64_t batches_shed = 0;
-  /// Submissions dropped whole with Timeout because their deadline had
-  /// already expired (at submission, at dispatch, or at a deadline-carrying
-  /// Serve entry point). A deadline expiring mid-execution surfaces as a
-  /// Timeout outcome but is not counted here.
+  /// Batches dropped whole with Timeout because their deadline had already
+  /// expired (at submission, at dispatch, or on entry to ServeBatch). A
+  /// deadline expiring mid-execution surfaces as a Timeout outcome but is
+  /// not counted here.
   uint64_t deadlines_expired = 0;
 };
 
@@ -282,33 +284,16 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Serves one query on the calling thread (cache -> admission -> run).
-  RunOutcome Serve(const Query& query);
-
-  /// As Serve with an explicit per-query deadline (<= 0 = unlimited),
-  /// overriding options.per_query_limit_seconds.
-  RunOutcome Serve(const Query& query, double per_query_limit_seconds);
-
-  /// As Serve, bounded by an absolute deadline: an already-expired deadline
-  /// returns `Status::Timeout` immediately — before the cache or the
-  /// admission index is touched — and an unexpired one caps the execution
-  /// (combined with options.per_query_limit_seconds, whichever is earlier).
-  RunOutcome ServeWithDeadline(const Query& query, const Deadline& deadline);
-
-  /// Serves a batch: cache hits are answered inline in one pre-scan,
-  /// duplicate queries collapse to a single execution (dedup_batches), and
-  /// only the distinct misses shard over the pool. outcome[i] answers
-  /// queries[i]. Thread-safe: any number of threads may submit batches
-  /// concurrently.
-  std::vector<RunOutcome> ServeBatch(const std::vector<Query>& queries);
+  /// Serves a batch on the calling thread: cache hits are answered inline
+  /// in one pre-scan, duplicate queries collapse to a single execution, and
+  /// only the distinct misses shard over the pool (the caller works too).
+  /// outcome[i] answers queries[i]. An already-expired `deadline` returns
+  /// all-`Status::Timeout` outcomes before the cache or the admission index
+  /// is touched; expiring mid-batch, the not-yet-run misses return Timeout
+  /// outcomes. A single query is a one-element batch. Thread-safe: any
+  /// number of threads may serve batches concurrently.
   std::vector<RunOutcome> ServeBatch(const std::vector<Query>& queries,
-                                     double per_query_limit_seconds);
-
-  /// As ServeBatch, bounded by an absolute deadline: expired at entry, the
-  /// whole batch returns `Status::Timeout` outcomes without executing;
-  /// expiring mid-batch, the not-yet-run leaders return Timeout outcomes.
-  std::vector<RunOutcome> ServeBatch(const std::vector<Query>& queries,
-                                     const Deadline& deadline);
+                                     const Deadline& deadline = {});
 
   // --- async submission --------------------------------------------------
   //
@@ -317,55 +302,33 @@ class QueryEngine {
   // until every accepted batch has delivered its result. The serving pool
   // must outlive the drain.
 
-  /// Enqueues the batch on the bounded request queue and returns a future
-  /// for its result. Blocks only when the request queue is full. Any
-  /// number of threads may submit concurrently; batches dispatch FIFO but
-  /// complete in any order (later batches overlap earlier ones).
-  std::future<BatchResult> SubmitAsync(std::vector<Query> queries);
+  /// Enqueues the batch on the bounded request queue; `done` receives its
+  /// result exactly once. Any number of threads may submit concurrently;
+  /// batches dispatch FIFO but complete in any order (later batches overlap
+  /// earlier ones). An unlimited-deadline request blocks while the queue is
+  /// full. A finite-deadline request never blocks (see the shed policy in
+  /// the file comment): its result carries served outcomes, all-`Timeout`
+  /// outcomes (deadline expired before execution), or all-
+  /// `ResourceExhausted` outcomes (shed by the eviction contest).
+  void Submit(BatchRequest request, Completion done);
 
-  /// Deadline-carrying flavor: never blocks on a full queue (see the shed
-  /// policy in the file comment). The future always settles — with served
-  /// outcomes, all-`Timeout` outcomes (deadline expired before execution),
-  /// or all-`ResourceExhausted` outcomes (shed by the eviction contest).
+  /// Submit adapted to a future.
   std::future<BatchResult> SubmitAsync(std::vector<Query> queries,
-                                       const Deadline& deadline);
-
-  /// As above, delivering the finished result (stamped with `tag`) to `cq`
-  /// instead of a future. `cq` must outlive the delivery (DrainAsync
-  /// before destroying it).
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag);
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag, const Deadline& deadline);
-
-  /// The primitive under both flavors: `on_done` runs exactly once — on a
-  /// pool thread, inline on a 1-thread pool, or on the submitter's thread
-  /// when the batch is dropped at submission — when the batch completes.
-  /// The live-update layer (serve/snapshot.h) uses it to stamp snapshot
-  /// versions; it passes the snapshot pin as `lifetime` so the batch's
-  /// tasks keep the snapshot (and this engine) alive until they are done
-  /// with it.
-  void SubmitAsyncWithCallback(std::vector<Query> queries,
-                               std::function<void(BatchResult&&)> on_done,
-                               std::shared_ptr<const void> lifetime = nullptr);
-  void SubmitAsyncWithCallback(std::vector<Query> queries,
-                               const Deadline& deadline,
-                               std::function<void(BatchResult&&)> on_done,
-                               std::shared_ptr<const void> lifetime = nullptr);
+                                       const Deadline& deadline = {});
 
   /// Owner-installed keep-alive for the engine's internal async tasks.
-  /// Every dispatcher task locks this guard for its whole run, and batch
-  /// tasks hold their submission's `lifetime`; each task releases its
-  /// drain ticket *before* dropping its pin. Net effect: when the last pin
-  /// disappears — possibly on a pool thread — no ticket is outstanding, so
-  /// the destructor's drain returns without blocking and destroying an
-  /// owner (e.g. a GraphSnapshot) from inside one of this engine's own
-  /// pool tasks cannot deadlock on itself. Must be set before the first
-  /// SubmitAsync; unset (plain engines), the caller simply must not
-  /// destroy the engine from inside one of its own tasks.
+  /// Every dispatcher task locks this guard for its whole run, and a
+  /// batch's Completion (with everything it captures) outlives the batch's
+  /// drain ticket. Net effect: when the last pin disappears — possibly on a
+  /// pool thread — no ticket is outstanding, so the destructor's drain
+  /// returns without blocking and destroying an owner (e.g. a
+  /// GraphSnapshot) from inside one of this engine's own pool tasks cannot
+  /// deadlock on itself. Must be set before the first Submit; unset (plain
+  /// engines), the caller simply must not destroy the engine from inside
+  /// one of its own tasks.
   void SetLifetimeGuard(std::weak_ptr<const void> guard);
 
-  /// Blocks until every batch accepted by SubmitAsync has delivered.
+  /// Blocks until every batch accepted by Submit has delivered.
   void DrainAsync();
 
   /// Snapshot of the cumulative serving counters.
@@ -385,19 +348,14 @@ class QueryEngine {
   uint64_t CarryOverCacheFrom(const QueryEngine& prev,
                               uint32_t clean_above_k);
 
-  /// The admission index replica `i` (0 <= i < num_index_replicas), or
-  /// nullptr when the engine was built with build_index = false.
-  const PhcIndex* index(int replica = 0) const;
+  /// The admission index, or nullptr when the engine was built without one.
+  const PhcIndex* index() const;
 
   /// True iff at least one temporal k-core exists inside `range`, answered
   /// in O(1) from the emergence table. Requires build_index and a valid
   /// range inside the graph's span; falls back to `true` (unknown) when the
   /// table cannot prove emptiness (e.g. k above a capped index).
   bool MayContainCore(uint32_t k, Window range) const;
-
-  /// True iff u is in the k-core of `window`, answered from a round-robin
-  /// index replica. Requires build_index and k <= the built max_k.
-  bool VertexInCore(VertexId u, Window window, uint32_t k) const;
 
   /// The per-k core-emergence table (min over vertices of CT_ts(u), indexed
   /// by ts - range.start), or an empty span when there is no admission
@@ -437,25 +395,23 @@ class QueryEngine {
   QueryEngine(const TemporalGraph& g, const QueryEngineOptions& options);
 
   [[nodiscard]] Status BuildAdmissionIndex();
-  /// Derives emergence tables and read-path replicas from a built index.
+  /// Derives the emergence tables of a built index and installs both.
   void InstallAdmissionIndex(PhcIndex index);
-  RunOutcome ServeOne(const Query& query, double limit_seconds,
-                      const Deadline& deadline = Deadline());
 
   /// The post-cache-miss path: admission check, algorithm execution, cache
   /// insert, counter updates. `batch_deadline` caps the execution together
-  /// with `limit_seconds` (whichever is earlier); expired on entry, the
-  /// query returns a Timeout outcome without running.
-  RunOutcome ExecuteUncached(const Query& query, double limit_seconds,
-                             const Deadline& batch_deadline = Deadline());
+  /// with options.per_query_limit_seconds (whichever is earlier); expired
+  /// on entry, the query returns a Timeout outcome without running.
+  RunOutcome ExecuteUncached(const Query& query,
+                             const Deadline& batch_deadline);
 
   /// Checks an arena out of the free list (allocating only when every
   /// existing arena is in flight) and returns it on destruction.
   class ArenaLease;
 
-  /// One locked pre-scan over a batch: cache hits answered inline into
-  /// `outcomes`, remaining distinct misses grouped into leaders (first
-  /// occurrence) and followers (in-batch duplicates).
+  /// One pre-scan over a batch, shared by both schedulers: cache hits
+  /// answered inline into `outcomes`, remaining distinct misses grouped
+  /// into leaders (first occurrence) and followers (in-batch duplicates).
   struct BatchPlan {
     std::vector<size_t> leaders;
     std::vector<std::vector<size_t>> followers;
@@ -484,15 +440,14 @@ class QueryEngine {
   ThreadPool* pool_ = nullptr;
 
   /// Admission state (immutable after Create).
-  std::vector<PhcIndex> replicas_;
-  bool index_complete_ = false;  ///< replicas cover every k up to true kmax
+  std::optional<PhcIndex> index_;
+  bool index_complete_ = false;  ///< index_ covers every k up to true kmax
   /// emergence_[k-1][ts - 1]: min over u of CT_ts(u) for slice k, i.e. the
   /// earliest end time at which a k-core exists for start ts (kInfTime when
   /// none). Non-decreasing in ts.
   std::vector<std::vector<Timestamp>> emergence_;
   uint64_t emergence_tables_carried_ = 0;
   uint64_t emergence_tables_stitched_ = 0;
-  mutable std::unique_ptr<std::atomic<uint64_t>> replica_rr_;
 
   /// Relaxed-atomic mirrors of ServeStats, bumped lock-free on the hot
   /// path and aggregated by stats(). Monotone counters need no ordering —

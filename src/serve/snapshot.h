@@ -25,8 +25,8 @@
 /// Consistency model — *pinned snapshots, no torn reads*:
 ///
 ///  * A GraphSnapshot is immutable: the temporal graph, the PHC admission
-///    index replicas, and the per-k emergence tables are all built once and
-///    never mutated (the engine's cache/arena internals are mutable but
+///    index, and the per-k emergence tables are all built once and never
+///    mutated (the engine's cache/arena internals are mutable but
 ///    internally synchronized and invisible to results).
 ///  * Every submission — sync or async — *pins* the snapshot that is
 ///    current at submission time by holding its shared_ptr until the
@@ -281,31 +281,21 @@ class LiveQueryEngine {
   uint64_t version() const { return snapshot()->version(); }
 
   /// Serves synchronously on the calling thread against the pinned current
-  /// snapshot; the result's snapshot_version records which one.
-  BatchResult ServeBatch(const std::vector<Query>& queries);
-
-  /// Deadline-bounded flavor (see QueryEngine::ServeBatch(queries,
-  /// deadline) for the Timeout semantics).
+  /// snapshot (see QueryEngine::ServeBatch, including the deadline's
+  /// Timeout semantics); the result's snapshot_version records which one.
   BatchResult ServeBatch(const std::vector<Query>& queries,
-                         const Deadline& deadline);
+                         const Deadline& deadline = {});
 
-  /// Async submission against the pinned current snapshot; the future's
-  /// BatchResult carries the pinned version. See
-  /// QueryEngine::SubmitAsync for queueing/backpressure semantics.
-  std::future<BatchResult> SubmitAsync(std::vector<Query> queries);
+  /// Async submission against the pinned current snapshot (see
+  /// QueryEngine::Submit for queueing, backpressure and shedding). `done`
+  /// receives the result stamped with the pinned version; the pin lives
+  /// until the engine has released the batch, so the snapshot outlasts
+  /// every task that touches it.
+  void Submit(BatchRequest request, Completion done);
 
-  /// Deadline-carrying flavor: never blocks on a full request queue; the
-  /// future always settles with served, Timeout, or ResourceExhausted
-  /// outcomes (see QueryEngine::SubmitAsync(queries, deadline)).
+  /// Submit adapted to a future.
   std::future<BatchResult> SubmitAsync(std::vector<Query> queries,
-                                       const Deadline& deadline);
-
-  /// Completion-queue flavor; the delivered result carries `tag` and the
-  /// pinned version.
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag);
-  void SubmitAsync(std::vector<Query> queries, BatchCompletionQueue* cq,
-                   uint64_t tag, const Deadline& deadline);
+                                       const Deadline& deadline = {});
 
   /// Enqueues one batch of edges for ingestion. Returns immediately with a
   /// future that resolves once a snapshot containing this batch has been
@@ -338,17 +328,18 @@ class LiveQueryEngine {
   /// DrainAsync() (see below), so Shutdown is safe to call while a network
   /// front end still holds completion queues: once it returns, no
   /// engine-side delivery will touch a caller-owned BatchCompletionQueue.
-  /// Serving (ServeBatch / SubmitAsync / snapshot) stays available.
+  /// Serving (ServeBatch / Submit / snapshot) stays available.
   /// Idempotent; the destructor calls it first.
   void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_);
 
   /// Blocks until every async batch accepted so far — against the current
   /// snapshot *or any superseded one that is still alive* — has delivered
-  /// its result (future settled, or BatchCompletionQueue::Deliver
-  /// returned). The contract a server's teardown needs: after DrainAsync,
-  /// destroying a completion queue the engine was delivering into cannot
-  /// race a delivery. Does not block new submissions; callers wanting a
-  /// true quiesce stop submitting first. Idempotent, callable repeatedly.
+  /// its result (its Completion returned: a future settled, or a
+  /// BatchCompletionQueue delivery finished). The contract a server's
+  /// teardown needs: after DrainAsync, destroying a completion queue the
+  /// engine was delivering into cannot race a delivery. Does not block new
+  /// submissions; callers wanting a true quiesce stop submitting first.
+  /// Idempotent, callable repeatedly.
   void DrainAsync() TKC_EXCLUDES(snapshots_mu_);
 
   LiveStats stats() const TKC_EXCLUDES(stats_mu_);
@@ -440,9 +431,9 @@ class LiveQueryEngine {
   Mutex shutdown_mu_;
 
   /// FIFO of pending update batches feeding the updater thread. The
-  /// updater is a dedicated thread (not a pool task) so the rebuild's
-  /// PhcIndex::Build/Rebuild genuinely fans out over the serving pool
-  /// instead of degrading to an inline loop inside a pool worker.
+  /// updater is a dedicated thread (not a pool task), and the rebuild's
+  /// PhcIndex::Build/Rebuild fans out over the dedicated update pool, never
+  /// the serving pool.
   BoundedMpscQueue<UpdateRequest> update_queue_;
   /// Started in the constructor; joined exactly once, under shutdown_mu_
   /// (the guard is what makes concurrent Shutdown calls safe).

@@ -6,7 +6,6 @@
 #include "core/temporal_kcore.h"
 #include "graph/window_peeler.h"
 #include "otcd/otcd.h"
-#include "serve/query_engine.h"
 #include "util/rng.h"
 #include "vct/vct_builder.h"
 
@@ -146,36 +145,29 @@ AggregateOutcome RunAlgorithmOnQueries(AlgorithmKind kind,
     agg.first_error = Status::InvalidArgument("empty query batch");
     return agg;
   }
-  // Measurement-mode engine: no memoization and no admission index, so
-  // every query executes its full algorithm and the timings are honest;
-  // the engine still contributes batch sharding and per-worker arena reuse.
-  ThreadPool serial_pool(1);
-  QueryEngineOptions engine_options;
-  engine_options.algorithm = kind;
-  engine_options.pool = pool != nullptr ? pool : &serial_pool;
-  engine_options.cache_capacity = 0;
-  engine_options.build_index = false;
-  // Fresh scratch per query: the memory figures report per-build peaks, not
-  // an arena's accumulated high-water mark.
-  engine_options.reuse_arenas = false;
-  // Every submitted query must execute, even a duplicate of another in the
-  // same batch — collapsing them would count one measurement twice.
-  engine_options.dedup_batches = false;
-  auto engine = QueryEngine::Create(g, engine_options);
-  if (!engine.ok()) {
-    agg.completed = false;
-    agg.first_error = engine.status();
-    return agg;
-  }
+  // Every query executes in full — no memo, no admission index, no batch
+  // dedup — with fresh scratch (arena = nullptr), so the timings are honest
+  // and the memory figures report per-build peaks, not an arena's
+  // accumulated high-water mark. Each deadline starts when its run does.
+  auto run = [&](const Query& query) {
+    Deadline deadline;
+    if (per_query_limit_seconds > 0) {
+      deadline = Deadline::AfterSeconds(per_query_limit_seconds);
+    }
+    return RunAlgorithm(kind, g, query, deadline, /*arena=*/nullptr);
+  };
   std::vector<RunOutcome> outcomes;
   if (pool != nullptr && pool->num_threads() > 1 && queries.size() > 1) {
     // Fan out: every run reads the graph and writes only its own slot.
     // Folding below stays in query order, so the aggregate is deterministic.
-    outcomes = engine->ServeBatch(queries, per_query_limit_seconds);
+    outcomes.resize(queries.size());
+    pool->ParallelFor(queries.size(), [&](size_t i, int /*worker*/) {
+      outcomes[i] = run(queries[i]);
+    });
   } else {
     outcomes.reserve(queries.size());
     for (const Query& query : queries) {
-      outcomes.push_back(engine->Serve(query, per_query_limit_seconds));
+      outcomes.push_back(run(query));
       if (!outcomes.back().status.ok()) break;  // historical early-out
     }
   }

@@ -105,18 +105,16 @@ struct AggregateOutcome {
 /// Runs `kind` over all queries with a per-query deadline of
 /// `per_query_limit_seconds` (<=0 means unlimited) and aggregates.
 ///
-/// Since PR 2 this is a thin measurement wrapper over the serving layer
-/// (serve/query_engine.h): it stands up a transient QueryEngine with
-/// memoization and the admission index disabled — every query executes, so
-/// timings mean what the figures claim — and serves the batch through it.
-/// With a non-null `pool` (util/thread_pool.h) the queries fan out across
-/// the pool's workers — every algorithm run touches the graph read-only, so
-/// the batch is embarrassingly parallel. Aggregation is deterministic: it
-/// folds outcomes in query order, and the reported `first_error` is the
-/// error of the lowest-indexed failing query regardless of which worker hit
-/// it first (the parallel path runs every query; the serial path keeps the
-/// historical stop-at-first-error behavior — aggregates of failing batches
-/// are marked failed either way).
+/// Every query — duplicates included — executes its full algorithm via
+/// RunAlgorithm with fresh scratch, so timings and memory peaks mean what
+/// the figures claim. With a non-null `pool` (util/thread_pool.h) the
+/// queries fan out across the pool's workers — every algorithm run touches
+/// the graph read-only, so the batch is embarrassingly parallel.
+/// Aggregation is deterministic: it folds outcomes in query order, and the
+/// reported `first_error` is the error of the lowest-indexed failing query
+/// regardless of which worker hit it first (the parallel path runs every
+/// query; the serial path keeps the historical stop-at-first-error
+/// behavior — aggregates of failing batches are marked failed either way).
 AggregateOutcome RunAlgorithmOnQueries(AlgorithmKind kind,
                                        const TemporalGraph& g,
                                        const std::vector<Query>& queries,

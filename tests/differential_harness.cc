@@ -177,7 +177,6 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   options.engine.pool = &pool;
   options.engine.build_index = rng.NextBool(0.5);
   options.engine.index_max_k = rng.NextBool(0.3) ? 2 : 0;  // capped sometimes
-  options.engine.num_index_replicas = rng.NextBool(0.25) ? 2 : 1;
   options.engine.cache_capacity = rng.NextBool(0.25) ? 0 : 64;
   options.engine.async_queue_capacity = 4;  // small: exercise backpressure
   options.update_queue_capacity = 4;
@@ -186,14 +185,16 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   if (config.incremental) options.engine.build_index = true;
 
   // Fault mode: arm the injection points with scenario-seeded schedules and
-  // switch the updater's retry/backoff on. rebuild.fail at 0.4 against 3
-  // attempts means most cycles land after a retry or two while a few
-  // exhaust and fail their group — both paths stay exercised.
+  // switch the updater's retry/backoff on. rebuild.fail at 0.4 against 2
+  // attempts means a cycle retries 40% of the time and exhausts 16% of the
+  // time, so most cycles land while about one in six fails its batch — both
+  // paths stay exercised, and the fault sweep's first few seeds already
+  // include an exhausted cycle.
   std::optional<ScopedFault> rebuild_fault;
   std::optional<ScopedFault> queue_fault;
   std::optional<ScopedFault> slow_fault;
   if (config.faults) {
-    options.max_rebuild_attempts = 3;
+    options.max_rebuild_attempts = 2;
     options.retry_backoff_initial_ms = 0.2;
     options.retry_backoff_max_ms = 2.0;
     options.retry_jitter_seed = config.seed;
@@ -343,16 +344,21 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
     auto apply_update = [&](size_t index) {
       if (config.incremental) {
         apply_and_verify(updates[index], index);
-      } else {
-        update_futures.push_back(live.ApplyUpdates(updates[index]));
+        return;
       }
+      update_futures.push_back(live.ApplyUpdates(updates[index]));
+      // Fault mode awaits each batch, so every rebuild cycle applies
+      // exactly one batch: which cycles exhaust their retries is then
+      // decided by the seeded rebuild.fail stream alone, not by how the
+      // updater happened to coalesce batches under load.
+      if (config.faults) update_futures.back().wait();
     };
 
     // --- Drive: interleave submissions with snapshot swaps. -------------
-    // Updates fire immediately after async submissions (never awaited
-    // first), so swaps overlap batches still in flight. (In incremental
-    // mode each update is awaited and its index verified before driving
-    // on; query batches still overlap the swaps.)
+    // Updates fire immediately after async submissions, so swaps overlap
+    // batches still in flight. (In incremental and fault mode each update
+    // is awaited before driving on; query batches still overlap the
+    // swaps.)
     size_t next_update = 0;
     const uint32_t batches_per_update =
         std::max(1u, config.num_query_batches /
@@ -360,9 +366,6 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
     for (uint32_t b = 0; b < config.num_query_batches; ++b) {
       PendingBatch pending;
       pending.queries = make_batch();
-      // The legacy entry points delegate to the deadline flavors with an
-      // unlimited deadline, so routing everything through the deadline
-      // overloads keeps the non-fault sweeps on the same code path.
       const Deadline deadline = pick_deadline();
       if (config.net) {
         // Mostly-unlimited wire deadlines, with an occasional 1 ms budget
@@ -387,8 +390,8 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
             pending.future = live.SubmitAsync(pending.queries, deadline);
             break;
           case 1:
-            live.SubmitAsync(pending.queries, &completions, batches.size(),
-                             deadline);
+            live.Submit({pending.queries, deadline},
+                        completions.CompletionFor(batches.size()));
             pending.via_completion_queue = true;
             ++cq_submissions;
             break;

@@ -44,6 +44,9 @@ struct DifferentialConfig {
   /// `dispatch.slow_worker`) with schedules derived from `seed`, attach
   /// seeded deadlines (unlimited / generous / already-expired / racing) to
   /// every query submission, and run the updater with retry/backoff on.
+  /// Each ApplyUpdates is awaited, so every rebuild cycle applies exactly
+  /// one batch and the seeded `rebuild.fail` stream alone decides which
+  /// cycles exhaust their retries.
   /// The oracle contract weakens per query, not per scenario: every
   /// submitted batch must still terminate, and each delivered outcome must
   /// be either oracle-exact against the graph version the engine pinned or

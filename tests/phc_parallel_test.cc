@@ -180,12 +180,18 @@ TEST(PhcParallelTest, ParallelWorkloadAggregateMatchesSerial) {
   spec.range_fraction = 0.4;
   auto queries = GenerateQueries(g, stats.kmax, spec);
   ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  // Duplicate queries ride along: each is its own run, so neither the
+  // counted outputs nor the peak may depend on which worker ran which copy.
+  std::vector<Query> batch = *queries;
+  batch.push_back((*queries)[0]);
+  batch.push_back((*queries)[0]);
+  batch.push_back((*queries)[3]);
   ThreadPool pool(4);
   for (AlgorithmKind kind :
        {AlgorithmKind::kCoreTime, AlgorithmKind::kEnum}) {
-    AggregateOutcome serial = RunAlgorithmOnQueries(kind, g, *queries, 0);
+    AggregateOutcome serial = RunAlgorithmOnQueries(kind, g, batch, 0);
     AggregateOutcome parallel =
-        RunAlgorithmOnQueries(kind, g, *queries, 0, &pool);
+        RunAlgorithmOnQueries(kind, g, batch, 0, &pool);
     ASSERT_TRUE(serial.completed && parallel.completed);
     // Timing fields differ run to run; the counted outputs must not.
     EXPECT_DOUBLE_EQ(serial.avg_num_cores, parallel.avg_num_cores);
@@ -193,6 +199,10 @@ TEST(PhcParallelTest, ParallelWorkloadAggregateMatchesSerial) {
                      parallel.avg_result_size_edges);
     EXPECT_DOUBLE_EQ(serial.avg_vct_size, parallel.avg_vct_size);
     EXPECT_DOUBLE_EQ(serial.avg_ecs_size, parallel.avg_ecs_size);
+    // Every run builds with fresh scratch, so a query's peak is its own
+    // working set, whichever worker ran it and whatever ran there before.
+    EXPECT_EQ(serial.max_peak_memory_bytes, parallel.max_peak_memory_bytes);
+    EXPECT_GT(serial.max_peak_memory_bytes, 0u);
   }
 }
 

@@ -150,7 +150,7 @@ TEST(QueryEngineAdmissionTest, RejectionProducesPipelineIdenticalOutcome) {
 
   const Query empty_query{stats.kmax + 3, Window{2, g.num_timestamps() / 2}};
   RunOutcome pipeline = RunAlgorithm(AlgorithmKind::kEnum, g, empty_query);
-  RunOutcome served = engine->Serve(empty_query);
+  RunOutcome served = engine->ServeBatch({empty_query})[0];
   ExpectSameResults(pipeline, served, "rejected query");
   EXPECT_EQ(engine->stats().index_rejections, 1u);
   EXPECT_EQ(engine->stats().executed, 0u);
@@ -200,19 +200,18 @@ TEST(QueryEngineCacheTest, BoundedCapacityEvicts) {
   (*queries)[2].range.start = (*queries)[2].range.start + 1;
 
   QueryEngineOptions options;
-  options.cache_capacity = 2;
-  // One stripe = exact global LRU; with several stripes the eviction order
-  // below would depend on how the three keys hash across stripes.
-  options.cache_stripes = 1;
+  // Capacity 1 caps the memo at one stripe: an exact LRU, so the eviction
+  // order below does not depend on how the keys hash across stripes.
+  options.cache_capacity = 1;
   auto engine = QueryEngine::Create(g, options);
   ASSERT_TRUE(engine.ok());
 
-  for (const Query& q : *queries) engine->Serve(q);
-  EXPECT_EQ(engine->stats().cache_evictions, 1u);
-  // Query 0 was evicted (LRU), so re-serving it executes again; query 2 is
-  // still resident and hits.
-  engine->Serve((*queries)[0]);
-  engine->Serve((*queries)[2]);
+  for (const Query& q : *queries) engine->ServeBatch({q});
+  EXPECT_EQ(engine->stats().cache_evictions, 2u);
+  // Only query 2 is still resident and hits; query 0 was evicted (LRU), so
+  // re-serving it executes again.
+  engine->ServeBatch({(*queries)[2]});
+  engine->ServeBatch({(*queries)[0]});
   ServeStats stats_now = engine->stats();
   EXPECT_EQ(stats_now.executed, queries->size() + 1);
   EXPECT_EQ(stats_now.cache_hits, 1u);
@@ -243,16 +242,6 @@ TEST(QueryEngineCacheTest, InBatchDuplicatesExecuteOnce) {
     RunOutcome reference = RunAlgorithm(AlgorithmKind::kEnum, g, batch[i]);
     ExpectSameResults(reference, served[i], "deduped batch");
   }
-
-  // With dedup disabled every submission executes.
-  QueryEngineOptions no_dedup = options;
-  no_dedup.dedup_batches = false;
-  no_dedup.cache_capacity = 0;
-  auto engine2 = QueryEngine::Create(g, no_dedup);
-  ASSERT_TRUE(engine2.ok());
-  engine2->ServeBatch(batch);
-  EXPECT_EQ(engine2->stats().executed, batch.size());
-  EXPECT_EQ(engine2->stats().batch_dedup_hits, 0u);
 }
 
 TEST(QueryEngineConcurrencyTest, ConcurrentBatchSubmission) {
@@ -293,26 +282,26 @@ TEST(QueryEngineConcurrencyTest, ConcurrentBatchSubmission) {
   EXPECT_EQ(engine->stats().batches, static_cast<uint64_t>(kClients));
 }
 
-TEST(QueryEngineIndexTest, ReplicasAnswerPointLookups) {
+TEST(QueryEngineIndexTest, IndexAnswersPointLookups) {
   TemporalGraph g = ServeGraph();
   GraphStats stats = ComputeGraphStats(g);
   QueryEngineOptions options;
   options.build_index = true;
-  options.num_index_replicas = 2;
   auto engine = QueryEngine::Create(g, options);
   ASSERT_TRUE(engine.ok());
-  ASSERT_NE(engine->index(0), nullptr);
-  ASSERT_NE(engine->index(1), nullptr);
-  EXPECT_EQ(engine->index(2), nullptr);
-  EXPECT_EQ(engine->index(0)->max_k(), stats.kmax);
-  EXPECT_EQ(engine->index(0)->size(), engine->index(1)->size());
+  const PhcIndex* index = engine->index();
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(index->max_k(), stats.kmax);
 
   const Window window{1, g.num_timestamps()};
   std::vector<bool> in_core = ComputeWindowCoreVertices(g, 2, window);
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    // Round-robin across replicas twice so both serve.
-    EXPECT_EQ(engine->VertexInCore(u, window, 2), in_core[u]) << "u=" << u;
+    EXPECT_EQ(index->VertexInCore(u, window, 2), in_core[u]) << "u=" << u;
   }
+
+  auto plain = QueryEngine::Create(g);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->index(), nullptr);
 }
 
 TEST(QueryEngineIndexTest, CappedIndexNeverRejectsAboveCap) {
@@ -327,7 +316,7 @@ TEST(QueryEngineIndexTest, CappedIndexNeverRejectsAboveCap) {
   // k above the cap is not provably empty, so the engine must execute, and
   // the result must still match the pipeline.
   const Query q{3, Window{1, g.num_timestamps()}};
-  RunOutcome served = engine->Serve(q);
+  RunOutcome served = engine->ServeBatch({q})[0];
   RunOutcome pipeline = RunAlgorithm(AlgorithmKind::kEnum, g, q);
   ExpectSameResults(pipeline, served, "above-cap query");
   EXPECT_EQ(engine->stats().index_rejections, 0u);
@@ -390,7 +379,7 @@ TEST(QueryEngineAsyncTest, CompletionQueueDeliversTaggedResults) {
   BatchCompletionQueue cq(8);
   constexpr uint64_t kBatches = 6;
   for (uint64_t tag = 0; tag < kBatches; ++tag) {
-    engine->SubmitAsync(queries, &cq, 100 + tag);
+    engine->Submit({queries}, cq.CompletionFor(100 + tag));
   }
   uint64_t seen = 0;
   std::set<uint64_t> tags;
@@ -442,14 +431,6 @@ TEST(QueryEngineAsyncTest, DestructorDrainsInFlightBatches) {
   }
 }
 
-TEST(QueryEngineOptionsTest, InvalidReplicaCountFails) {
-  TemporalGraph g = ServeGraph();
-  QueryEngineOptions options;
-  options.num_index_replicas = 0;
-  auto engine = QueryEngine::Create(g, options);
-  EXPECT_FALSE(engine.ok());
-}
-
 // --- robustness: deadlines, shedding, completion-queue shutdown ------------
 
 TEST(QueryEngineDeadlineTest, ExpiredDeadlineTimesOutWithoutTouchingIndex) {
@@ -464,7 +445,7 @@ TEST(QueryEngineDeadlineTest, ExpiredDeadlineTimesOutWithoutTouchingIndex) {
 
   // Cache-miss path: nothing is cached yet, and the rejection must not
   // consult the cache, the admission index, or the algorithm.
-  RunOutcome out = engine->ServeWithDeadline(query, expired);
+  RunOutcome out = engine->ServeBatch({query}, expired)[0];
   EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
   ServeStats stats = engine->stats();
   EXPECT_EQ(stats.executed, 0u);
@@ -474,17 +455,17 @@ TEST(QueryEngineDeadlineTest, ExpiredDeadlineTimesOutWithoutTouchingIndex) {
 
   // Cache-hit path: serve it for real first, then the expired deadline must
   // still answer Timeout without replaying the cached outcome.
-  RunOutcome real = engine->Serve(query);
+  RunOutcome real = engine->ServeBatch({query})[0];
   ASSERT_TRUE(real.status.ok());
   const uint64_t hits_before = engine->stats().cache_hits;
-  out = engine->ServeWithDeadline(query, expired);
+  out = engine->ServeBatch({query}, expired)[0];
   EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
   stats = engine->stats();
   EXPECT_EQ(stats.cache_hits, hits_before);  // no lookup happened
   EXPECT_EQ(stats.deadlines_expired, 2u);
 
   // Sanity: an unexpired deadline serves the real (cached) outcome.
-  out = engine->ServeWithDeadline(query, Deadline::AfterSeconds(30.0));
+  out = engine->ServeBatch({query}, Deadline::AfterSeconds(30.0))[0];
   ASSERT_TRUE(out.status.ok());
   ExpectSameResults(real, out, "unexpired deadline");
 }
@@ -657,7 +638,7 @@ TEST(BatchCompletionQueueTest, ShutdownWithEngineStillDelivering) {
   // More finished batches than the queue holds, and no consumer: deliveries
   // beyond the first wedge pool workers inside Deliver.
   for (uint64_t tag = 0; tag < 4; ++tag) {
-    engine->SubmitAsync(queries, cq.get(), tag);
+    engine->Submit({queries}, cq->CompletionFor(tag));
   }
   cq->Shutdown();        // unblocks any stuck Deliver (results dropped)
   engine->DrainAsync();  // every batch settles; no Deliver can start later
