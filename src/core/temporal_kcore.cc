@@ -4,6 +4,7 @@
 
 #include "core/enum_algorithm.h"
 #include "core/naive_enumerator.h"
+#include "vct/phc_index.h"
 #include "vct/vct_builder.h"
 
 namespace tkc {
@@ -32,6 +33,16 @@ Status ValidateQueryInputs(const TemporalGraph& g, uint32_t k, Window range) {
   return Status::OK();
 }
 
+VctBuildResult RunCoreTimePhase(const TemporalGraph& g, uint32_t k,
+                                Window range, const PhcIndex* index,
+                                VctBuildArena* arena) {
+  if (index != nullptr && k <= index->max_k() &&
+      range.ContainedIn(index->range())) {
+    return ReadVctAndEcs(g, index->Slice(k), range, arena);
+  }
+  return BuildVctAndEcs(g, k, range, arena);
+}
+
 Status RunTemporalKCoreQuery(const TemporalGraph& g, uint32_t k, Window range,
                              CoreSink* sink, const QueryOptions& options,
                              QueryStats* stats) {
@@ -54,9 +65,10 @@ Status RunTemporalKCoreQuery(const TemporalGraph& g, uint32_t k, Window range,
 
   // ---- Phase 1: CoreTime (VCT + ECS). ----
   WallTimer phase_timer;
-  VctBuildResult built = options.vct_method == VctMethod::kEfficient
-                             ? BuildVctAndEcs(g, k, range, options.arena)
-                             : BuildVctAndEcsNaive(g, k, range);
+  VctBuildResult built =
+      options.vct_method == VctMethod::kEfficient
+          ? RunCoreTimePhase(g, k, range, options.index, options.arena)
+          : BuildVctAndEcsNaive(g, k, range);
   const double coretime_seconds = phase_timer.ElapsedSeconds();
   if (options.deadline.Expired()) {
     return Status::Timeout("deadline expired after the CoreTime phase");

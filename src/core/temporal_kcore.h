@@ -35,6 +35,7 @@
 
 namespace tkc {
 
+class PhcIndex;        // vct/phc_index.h
 struct VctBuildArena;  // vct/vct_builder.h
 
 /// Which enumeration algorithm consumes the edge core window skyline.
@@ -60,10 +61,15 @@ struct QueryOptions {
   /// periodically inside the enumeration loops).
   Deadline deadline;
   /// Optional scratch recycled across queries (vct_builder.h). Serving code
-  /// (serve/query_engine.h) hands each worker its own arena so steady-state
-  /// query execution allocates nothing; results never depend on reuse. Only
-  /// read by VctMethod::kEfficient.
+  /// (serve/query_engine.h) hands each worker its own arena so the CoreTime
+  /// phase reuses its scratch; results never depend on reuse. Only read by
+  /// VctMethod::kEfficient.
   VctBuildArena* arena = nullptr;
+  /// Optional PHC index over the same graph: the CoreTime phase reads its
+  /// slice k instead of building whenever it holds one (see
+  /// RunCoreTimePhase); results are bit-identical either way. Only read by
+  /// VctMethod::kEfficient.
+  const PhcIndex* index = nullptr;
 };
 
 /// Phase timings and sizes of one query run.
@@ -84,6 +90,15 @@ struct QueryStats {
 /// identically instead of drifting from the pipeline.
 [[nodiscard]] Status ValidateQueryInputs(const TemporalGraph& g, uint32_t k,
                                          Window range);
+
+/// The CoreTime phase (VCT + ECS) of one valid query: read off slice k of
+/// `index` (ReadVctAndEcs) when the index holds it — k <= index->max_k()
+/// and `range` inside index->range() — else built by the fixpoint builder
+/// (BuildVctAndEcs). `index` (optional) must have been built over `g`; the
+/// result is bit-identical on both paths.
+VctBuildResult RunCoreTimePhase(const TemporalGraph& g, uint32_t k,
+                                Window range, const PhcIndex* index,
+                                VctBuildArena* arena);
 
 /// Runs the time-range k-core query. Validates inputs (k >= 1, range inside
 /// the graph's compacted time span) and streams results into `sink`.

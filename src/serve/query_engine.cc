@@ -30,6 +30,36 @@ bool UsesBuildArena(AlgorithmKind kind) {
   return false;
 }
 
+/// True iff `slice` is exactly slice 1 of `g`'s full-range index. For k = 1,
+/// CT_ts(u) is u's first edge time >= ts, so u's rows are (1, t1),
+/// (t1+1, t2), ..., (t_last+1, inf) over its distinct edge times, the last
+/// row only when t_last < tmax; checked against the adjacency in O(m).
+/// Misses read the index's slices, so an index saved for another graph
+/// with the same vertex count and timeline must not get past Create.
+bool SliceOneMatches(const VertexCoreTimeIndex& slice, const TemporalGraph& g) {
+  const Timestamp tmax = g.num_timestamps();
+  if (slice.num_vertices() != g.num_vertices()) return false;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const std::span<const VctEntry> rows = slice.EntriesOf(u);
+    size_t i = 0;
+    Timestamp start = 1;
+    for (const AdjEntry& a : g.Neighbors(u)) {  // sorted by time
+      if (a.time < start) continue;             // a repeated time
+      if (i == rows.size() || rows[i] != VctEntry{start, a.time}) return false;
+      ++i;
+      start = a.time + 1;
+    }
+    if (i > 0 && start <= tmax) {  // an edgeless vertex has no rows at all
+      if (i == rows.size() || rows[i] != VctEntry{start, kInfTime}) {
+        return false;
+      }
+      ++i;
+    }
+    if (i != rows.size()) return false;
+  }
+  return true;
+}
+
 /// min over u of CT_ts(u) for every start ts of the slice's range: the
 /// earliest end time at which a k-core exists for that start. Computed with
 /// one multiset sweep over the breakpoints; each vertex's core-time function
@@ -250,9 +280,9 @@ Status QueryEngine::BuildAdmissionIndex() {
       return Status::InvalidArgument(
           "preloaded index has no slices for this graph");
     }
-    if (pre.Slice(1).num_vertices() != graph_->num_vertices()) {
+    if (!SliceOneMatches(pre.Slice(1), *graph_)) {
       return Status::InvalidArgument(
-          "preloaded index was built for a different vertex count");
+          "preloaded index was built for a different graph");
     }
     index_complete_ = pre.complete();
     InstallAdmissionIndex(pre);  // copy; caller keeps ownership
@@ -374,7 +404,7 @@ RunOutcome QueryEngine::ExecuteUncached(const Query& query,
           : batch_deadline;
   ArenaLease lease(this, UsesBuildArena(options_.algorithm));
   out = RunAlgorithm(options_.algorithm, *graph_, query, deadline,
-                     lease.get());
+                     lease.get(), index());
   Bump(stats_->queries_served);
   Bump(stats_->executed);
   if (out.status.ok()) cache_->Insert(query, out);

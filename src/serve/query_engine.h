@@ -42,16 +42,22 @@
 ///    Submit blocks on a full request queue (backpressure). On a 1-thread
 ///    pool the async path degenerates to synchronous inline execution,
 ///    trivially deterministic.
-///  * **Zero steady-state allocation.** Each in-flight query checks a
+///  * **Recycled build scratch.** Each in-flight miss checks a
 ///    VctBuildArena out of an internal free list (growing only to the peak
-///    concurrency ever observed) so the CoreTime phase recycles all scratch.
+///    concurrency ever observed), so the CoreTime phase reuses its scratch
+///    vectors. Every execution still allocates its own VCT/ECS arrays
+///    (FromEmissions) and the enumeration's lists.
 ///  * **Admission index.** At construction the engine can build a full PHC
 ///    index (all k-slices) over the graph's time span and derive a per-k
 ///    *core-emergence table*: min over vertices of CT_ts(u) for every start
 ///    ts. A query whose range provably contains no temporal k-core (k
 ///    beyond the global kmax, or emergence after the range end) is then
 ///    answered in O(1) with the exact empty outcome the full pipeline would
-///    produce — no build, no allocation.
+///    produce — no build, no allocation. The same index answers every
+///    admitted miss with k <= its max_k: the CoreTime phase reads slice k
+///    over the query range (RunCoreTimePhase) instead of running the
+///    fixpoint builder, leaving the ECS pass and the enumeration. Misses
+///    above a capped index_max_k, and engines without an index, build.
 ///  * **Memoization.** Completed outcomes are stored in a bounded LRU
 ///    (serve/query_cache.h) keyed by (k, range), so repeated-query
 ///    workloads are served at lookup cost; admission rejections are stored
@@ -111,9 +117,11 @@ struct QueryEngineOptions {
   /// (whichever is earlier); <= 0 means unlimited.
   double per_query_limit_seconds = 0;
 
-  /// Build the PHC admission index (and emergence tables) at construction.
-  /// Costs one full multi-k index build up front; pays for itself on
-  /// workloads with empty-result queries.
+  /// Build the full-range PHC index (and emergence tables) at
+  /// construction. Costs one multi-k index build up front; in return the
+  /// index rejects provably empty queries in O(1) and answers every
+  /// admitted miss with k <= its max_k by reading slice k instead of
+  /// rebuilding VCT+ECS.
   bool build_index = false;
 
   /// Cap on the admission index's largest k-slice (0 = the span's kmax).
@@ -133,8 +141,10 @@ struct QueryEngineOptions {
   /// Serve the admission index from this prebuilt PHC index (typically
   /// LoadPhcIndex from vct/index_io.h) instead of building one at
   /// construction — the persist/load path that amortizes engine start-up.
-  /// Implies build_index; must cover the graph's FullRange() and vertex
-  /// count. Copied into the engine; only read during Create.
+  /// Implies build_index. It must be this graph's index: Create checks its
+  /// range and checks slice 1 exactly against the graph's edge times
+  /// (O(m)), failing with InvalidArgument on a mismatch; the other slices
+  /// are trusted. Copied into the engine; only read during Create.
   const PhcIndex* preloaded_index = nullptr;
 
   /// Engine to copy per-k core-emergence tables from instead of
@@ -398,10 +408,11 @@ class QueryEngine {
   /// Derives the emergence tables of a built index and installs both.
   void InstallAdmissionIndex(PhcIndex index);
 
-  /// The post-cache-miss path: admission check, algorithm execution, cache
-  /// insert, counter updates. `batch_deadline` caps the execution together
-  /// with options.per_query_limit_seconds (whichever is earlier); expired
-  /// on entry, the query returns a Timeout outcome without running.
+  /// The post-cache-miss path: admission check, algorithm execution (its
+  /// CoreTime phase reads the admission index when that holds slice k),
+  /// cache insert, counter updates. `batch_deadline` caps the execution
+  /// together with options.per_query_limit_seconds (whichever is earlier);
+  /// expired on entry, the query returns a Timeout outcome without running.
   RunOutcome ExecuteUncached(const Query& query,
                              const Deadline& batch_deadline);
 

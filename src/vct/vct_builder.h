@@ -36,20 +36,24 @@
 /// ect(e) (including to infinity, and including e leaving the window
 /// because t == s), the window [s, old ect(e)] is emitted as a minimal core
 /// window of e. A final flush handles start time Te.
+///
+/// The emission loop only needs the core times of each start, so it runs
+/// over either source: the fixpoint above (BuildVctAndEcs) or the rows of
+/// a full-range PHC slice (ReadVctAndEcs), which already hold them.
 
 namespace tkc {
 
 class ThreadPool;  // util/thread_pool.h
 
 /// Reusable scratch for repeated VCT/ECS builds: the core-time advancer's
-/// state, the window-adjacency cursors, the sweep scratch, and the emission
-/// buffers. Passing the same arena to successive builds reuses every
-/// allocation; PhcIndex::Build (and the delta-aware PhcIndex::Rebuild,
-/// which runs this builder only for its dirty slices) hands each pool
-/// worker its own arena so the slices it claims share scratch without
-/// locking. Contents are an implementation detail of vct_builder.cc —
-/// treat as opaque. Reuse never changes results: each build fully
-/// re-initializes the state it reads.
+/// state, the slice reader's buckets, the window-adjacency cursors, the
+/// sweep scratch, and the emission buffers. Passing the same arena to
+/// successive builds reuses every allocation; PhcIndex::Build (and the
+/// delta-aware PhcIndex::Rebuild, which runs this builder only for its
+/// dirty slices) hands each pool worker its own arena so the slices it
+/// claims share scratch without locking. Contents are an implementation
+/// detail of vct_builder.cc — treat as opaque. Reuse never changes
+/// results: each build fully re-initializes the state it reads.
 struct VctBuildArena {
   std::vector<Timestamp> ct;              // per-vertex core times
   std::vector<uint8_t> in_queue;          // worklist membership bits
@@ -63,6 +67,9 @@ struct VctBuildArena {
   std::vector<Timestamp> ect;             // per-edge core times
   std::vector<VertexId> changed;          // vertices changed by one Advance
   std::vector<VertexId> verts;            // distinct window endpoints
+  std::vector<uint32_t> next_row;         // slice reader: next unread row
+  std::vector<VertexId> bucket_head;      // slice reader: per-start list head
+  std::vector<VertexId> bucket_next;      // slice reader: next in that list
   std::vector<std::pair<VertexId, VctEntry>> vct_emissions;
   std::vector<std::pair<EdgeId, Window>> ecs_emissions;
 
@@ -83,6 +90,19 @@ struct VctBuildArena {
 VctBuildResult BuildVctAndEcs(const TemporalGraph& g, uint32_t k, Window range,
                               VctBuildArena* arena = nullptr,
                               ThreadPool* pool = nullptr);
+
+/// The CoreTime phase read off an index instead of computed: VCT and ECS for
+/// (g, k, range) from `slice`, slice k of a PhcIndex built over `g` whose
+/// range contains `range`. Windows only look forward in time, so CT_ts(u)
+/// over `range` is the slice's value for start ts when that is at most
+/// range.end, and infinite otherwise; the ECS follows from the same Lemma
+/// 1-2 emission loop BuildVctAndEcs runs. Bit-identical to
+/// BuildVctAndEcs(g, k, range), with no peel and no fixpoint iteration:
+/// O(n log m + m_range + |VCT| * deg_avg) for the per-vertex row and
+/// cursor searches, the range's edges and the ect refresh.
+VctBuildResult ReadVctAndEcs(const TemporalGraph& g,
+                             const VertexCoreTimeIndex& slice, Window range,
+                             VctBuildArena* arena = nullptr);
 
 /// Statistics of the last build (for benchmarks / ablation): exposed via a
 /// variant that reports counters.

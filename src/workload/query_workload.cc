@@ -7,7 +7,6 @@
 #include "graph/window_peeler.h"
 #include "otcd/otcd.h"
 #include "util/rng.h"
-#include "vct/vct_builder.h"
 
 namespace tkc {
 
@@ -75,7 +74,7 @@ const char* AlgorithmName(AlgorithmKind kind) {
 
 RunOutcome RunAlgorithm(AlgorithmKind kind, const TemporalGraph& g,
                         const Query& query, const Deadline& deadline,
-                        VctBuildArena* arena) {
+                        VctBuildArena* arena, const PhcIndex* index) {
   RunOutcome out;
   WallTimer timer;
   switch (kind) {
@@ -96,7 +95,8 @@ RunOutcome RunAlgorithm(AlgorithmKind kind, const TemporalGraph& g,
       // (the serving layer feeds arbitrary client queries through here).
       out.status = ValidateQueryInputs(g, query.k, query.range);
       if (!out.status.ok()) break;
-      VctBuildResult built = BuildVctAndEcs(g, query.k, query.range, arena);
+      VctBuildResult built =
+          RunCoreTimePhase(g, query.k, query.range, index, arena);
       out.status = Status::OK();
       out.vct_size = built.vct.size();
       out.ecs_size = built.ecs.size();
@@ -115,6 +115,7 @@ RunOutcome RunAlgorithm(AlgorithmKind kind, const TemporalGraph& g,
                                 : EnumMethod::kNaive;
       options.deadline = deadline;
       options.arena = arena;
+      options.index = index;
       QueryStats stats;
       out.status =
           RunTemporalKCoreQuery(g, query.k, query.range, &sink, options,

@@ -27,20 +27,26 @@ namespace tkc {
 
 namespace {
 
-/// The fields a naive-oracle comparison can check: the oracle reports no
-/// VCT/ECS sizes and its timings are its own, so bit-identity means status
-/// code + core count + result size.
-bool SameResults(const RunOutcome& engine, const RunOutcome& oracle) {
+/// Result-field bit-identity of a served outcome: status code, core count
+/// and result size against the naive oracle, and |VCT| and |ECS| against
+/// RunAlgorithm(kEnum) on the same graph version — the oracle reports no
+/// sizes, and a served miss may read them off the engine's index instead of
+/// building them. Timings are each path's own and are not compared.
+bool SameResults(const RunOutcome& engine, const RunOutcome& oracle,
+                 const RunOutcome& reference) {
   if (engine.status.code() != oracle.status.code()) return false;
   if (!engine.status.ok()) return true;  // same failure class is enough
   return engine.num_cores == oracle.num_cores &&
-         engine.result_size_edges == oracle.result_size_edges;
+         engine.result_size_edges == oracle.result_size_edges &&
+         engine.vct_size == reference.vct_size &&
+         engine.ecs_size == reference.ecs_size;
 }
 
 std::string DescribeMismatch(const DifferentialConfig& config,
                              uint64_t version, const Query& query,
                              const RunOutcome& engine,
-                             const RunOutcome& oracle) {
+                             const RunOutcome& oracle,
+                             const RunOutcome& reference) {
   std::ostringstream out;
   out << "seed=" << config.seed << " threads=" << config.threads
       << " version=" << version << " k=" << query.k << " range=["
@@ -49,6 +55,8 @@ std::string DescribeMismatch(const DifferentialConfig& config,
       << ", |R|=" << engine.result_size_edges << "} vs oracle {"
       << oracle.status.ToString() << ", cores=" << oracle.num_cores
       << ", |R|=" << oracle.result_size_edges << "}";
+  out << "; |VCT| " << engine.vct_size << " vs Enum " << reference.vct_size;
+  out << ", |ECS| " << engine.ecs_size << " vs Enum " << reference.ecs_size;
   return out.str();
 }
 
@@ -65,7 +73,7 @@ struct PendingBatch {
 /// Rebuilds the engine-shaped result a wire response carries: the verdict
 /// frame transports exactly the determinism-contract fields (status code,
 /// num_cores, result_size_edges, vct_size, ecs_size), which is everything
-/// SameResults compares against the oracle.
+/// SameResults compares.
 BatchResult WireToBatchResult(const net::ClientResponse& response) {
   BatchResult result;
   result.snapshot_version = response.snapshot_version;
@@ -570,15 +578,17 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
         ++report.explicit_outcomes;
         continue;
       }
-      RunOutcome oracle =
+      const RunOutcome oracle =
           RunAlgorithm(AlgorithmKind::kNaive, graph, pending.queries[i]);
+      const RunOutcome reference =
+          RunAlgorithm(AlgorithmKind::kEnum, graph, pending.queries[i]);
       ++report.queries_checked;
-      if (!SameResults(result.outcomes[i], oracle)) {
+      if (!SameResults(result.outcomes[i], oracle, reference)) {
         ++report.mismatches;
         if (report.first_mismatch.empty()) {
-          report.first_mismatch =
-              DescribeMismatch(config, result.snapshot_version,
-                               pending.queries[i], result.outcomes[i], oracle);
+          report.first_mismatch = DescribeMismatch(
+              config, result.snapshot_version, pending.queries[i],
+              result.outcomes[i], oracle, reference);
         }
       }
     }

@@ -12,7 +12,9 @@
 /// with ApplyUpdates snapshot swaps, plus sync and completion-queue
 /// submissions for API coverage); then checks every served outcome
 /// bit-identically against the naive per-window peeling oracle evaluated
-/// on the exact graph version the engine reports having pinned.
+/// on the exact graph version the engine reports having pinned, and its
+/// |VCT| and |ECS| (which the oracle does not report) against
+/// RunAlgorithm(kEnum) on that same version.
 ///
 /// The version replay leans on the live layer's FIFO contract: version N
 /// is the initial graph plus update batches 1..N, so the harness rebuilds

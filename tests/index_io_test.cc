@@ -195,11 +195,19 @@ TEST(IndexIoTest, EngineFromLoadedIndexAnswersCorpusIdentically) {
             loaded_engine->stats().index_rejections);
   EXPECT_GT(built_engine->stats().index_rejections, 0u);
 
-  // A mismatched graph is rejected up front.
-  TemporalGraph other = GenerateUniformRandom(30, 500, 24, 77);
+  // A mismatched graph is rejected up front: one with a longer timeline
+  // (the range check), and one with the same vertex count and timeline
+  // (slice 1 checked against the graph's edge times). Misses read the
+  // index's slices, so either would otherwise serve wrong answers.
   QueryEngineOptions bad;
   bad.preloaded_index = &*loaded;
-  EXPECT_FALSE(QueryEngine::Create(other, bad).ok());
+  TemporalGraph longer = GenerateUniformRandom(30, 500, 24, 77);
+  EXPECT_FALSE(QueryEngine::Create(longer, bad).ok());
+  TemporalGraph same_shape = GenerateUniformRandom(30, 500, 20, 77);
+  ASSERT_EQ(same_shape.num_vertices(), g.num_vertices());
+  ASSERT_EQ(same_shape.FullRange(), g.FullRange());
+  auto same_shape_engine = QueryEngine::Create(same_shape, bad);
+  EXPECT_EQ(same_shape_engine.status().code(), StatusCode::kInvalidArgument);
 
   // So is a sliceless index (format-valid but describing nothing): with a
   // complete empty index the engine would "prove" every query empty.

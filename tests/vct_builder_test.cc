@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "datasets/generators.h"
+#include "util/rng.h"
 #include "vct/naive_vct_builder.h"
+#include "vct/phc_index.h"
 #include "vct/vct_builder.h"
 
 namespace tkc {
@@ -225,6 +228,123 @@ TEST(VctBuilderBurstyTest, SyntheticAgrees) {
     VctBuildResult naive = BuildVctAndEcsNaive(g, k, g.FullRange());
     ExpectSameVct(fast.vct, naive.vct, "bursty k=" + std::to_string(k));
     ExpectSameEcs(fast.ecs, naive.ecs, "bursty k=" + std::to_string(k));
+  }
+}
+
+// --- The slice-read CoreTime phase (ReadVctAndEcs) ------------------------
+
+/// Seeded ranges over [1, tmax]: the full range, every single-timestamp
+/// range, ranges ending at tmax, and random sub-ranges.
+std::vector<Window> SeededRanges(Timestamp tmax, uint64_t seed) {
+  std::vector<Window> ranges = {{1, tmax}};
+  for (Timestamp t = 1; t <= tmax; ++t) ranges.push_back({t, t});
+  for (Timestamp t = 2; t <= tmax; t += std::max<Timestamp>(1, tmax / 5)) {
+    ranges.push_back({t, tmax});
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 12; ++i) {
+    const auto a = static_cast<Timestamp>(rng.NextInRange(1, tmax));
+    const auto b = static_cast<Timestamp>(rng.NextInRange(1, tmax));
+    ranges.push_back({std::min(a, b), std::max(a, b)});
+  }
+  return ranges;
+}
+
+/// For every k the index holds and every range: the VCT read off slice k
+/// equals the fixpoint builder's by operator==, and the ECS matches window
+/// by window. One arena serves every read, so reuse must not leak state.
+void ExpectSliceReadsMatchBuilder(const TemporalGraph& g,
+                                  const PhcIndex& index,
+                                  const std::vector<Window>& ranges,
+                                  const std::string& label) {
+  ASSERT_GE(index.max_k(), 1u) << label;
+  VctBuildArena arena;
+  for (uint32_t k = 1; k <= index.max_k(); ++k) {
+    for (const Window& r : ranges) {
+      const std::string where = label + " k=" + std::to_string(k) +
+                                " range [" + std::to_string(r.start) + "," +
+                                std::to_string(r.end) + "]";
+      const VctBuildResult built = BuildVctAndEcs(g, k, r);
+      const VctBuildResult read = ReadVctAndEcs(g, index.Slice(k), r, &arena);
+      EXPECT_TRUE(read.vct == built.vct) << where;
+      ExpectSameVct(read.vct, built.vct, where);
+      ExpectSameEcs(read.ecs, built.ecs, where);
+    }
+  }
+}
+
+// Every k of the graph, not just the case's k: a read serves any slice.
+TEST_P(VctBuilderEquivalenceTest, SliceReadMatchesBuilder) {
+  const BuilderCase& c = GetParam();
+  TemporalGraph g = GenerateUniformRandom(c.n, c.m, c.T, c.seed);
+  auto index = PhcIndex::Build(g, g.FullRange());
+  ASSERT_TRUE(index.ok());
+  ExpectSliceReadsMatchBuilder(g, *index,
+                               SeededRanges(g.num_timestamps(), c.seed),
+                               "seed " + std::to_string(c.seed));
+}
+
+TEST(VctSliceReadTest, MatchesBuilderOnPaperExample) {
+  TemporalGraph g = PaperExampleGraph();
+  auto index = PhcIndex::Build(g, g.FullRange());
+  ASSERT_TRUE(index.ok());
+  std::vector<Window> ranges = SeededRanges(g.num_timestamps(), 31);
+  ranges.push_back({1, 4});  // Figure 2's range
+  ranges.push_back({1, 6});  // Example 9's range
+  ExpectSliceReadsMatchBuilder(g, *index, ranges, "paper example");
+}
+
+TEST(VctSliceReadTest, MatchesBuilderWithParallelEdges) {
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    Rng rng(seed);
+    TemporalGraphBuilder b;
+    b.SetDeduplicateExact(false);
+    for (int i = 0; i < 90; ++i) {
+      const auto u = static_cast<VertexId>(rng.NextBounded(10));
+      const auto v = static_cast<VertexId>(rng.NextBounded(10));
+      const auto t = static_cast<Timestamp>(rng.NextInRange(1, 12));
+      const uint32_t copies = 1 + static_cast<uint32_t>(rng.NextBounded(3));
+      for (uint32_t c = 0; c < copies; ++c) b.AddEdge(u, v, t);
+    }
+    auto g = b.Build();
+    ASSERT_TRUE(g.ok());
+    auto index = PhcIndex::Build(*g, g->FullRange());
+    ASSERT_TRUE(index.ok());
+    ExpectSliceReadsMatchBuilder(*g, *index,
+                                 SeededRanges(g->num_timestamps(), seed),
+                                 "parallel edges seed " + std::to_string(seed));
+  }
+}
+
+// Slices of a Rebuild-maintained index serve reads exactly like built ones:
+// slices reused by pointer from the predecessor and slices whose start
+// band was recomputed and stitched back in.
+TEST(VctSliceReadTest, MatchesBuilderOnRebuiltSlices) {
+  TemporalGraph dense = GenerateUniformRandom(18, 300, 12, 21);
+  const VertexId p = dense.num_vertices(), q = p + 1;
+  auto based = dense.AppendEdges(std::vector<RawTemporalEdge>{
+      {p, 0, dense.RawTimestamp(1)}, {q, 1, dense.RawTimestamp(2)}});
+  ASSERT_TRUE(based.ok());
+  const TemporalGraph base = std::move(based->graph);
+  auto old_index = PhcIndex::Build(base, base.FullRange());
+  ASSERT_TRUE(old_index.ok());
+
+  // A pendant-to-pendant edge: slices above its core bound carry by
+  // pointer, the dirty ones are maintained by suffix.
+  const Timestamp tmax = base.num_timestamps();
+  for (Timestamp at : {tmax / 2, tmax}) {
+    auto update = base.AppendEdges(
+        std::vector<RawTemporalEdge>{{p, q, base.RawTimestamp(at)}});
+    ASSERT_TRUE(update.ok());
+    PhcRebuildStats stats;
+    auto rebuilt = PhcIndex::Rebuild(*old_index, update->graph, update->delta,
+                                     PhcBuildOptions{}, &stats);
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_GT(stats.slices_reused, 0u) << at;
+    EXPECT_GT(stats.suffix_rebuilds, 0u) << at;
+    ExpectSliceReadsMatchBuilder(update->graph, *rebuilt,
+                                 SeededRanges(tmax, at),
+                                 "rebuilt at " + std::to_string(at));
   }
 }
 
