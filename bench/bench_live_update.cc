@@ -450,8 +450,8 @@ int main(int argc, char** argv) {
                     ustats.slices_rebuilt == 0 && ustats.rows_reused > 0 &&
                     ustats.incremental_swaps == (*live)->stats().swaps;
         // The maintained index — suffix-stitched slices, pointer-reused
-        // slices, carried emergence tables — must be bit-identical to
-        // from-scratch state on the final graph.
+        // slices, and each slice's emergence table — must be bit-identical
+        // to from-scratch state on the final graph.
         auto snap = (*live)->snapshot();
         const PhcIndex* incremental = snap->engine().index();
         PhcBuildOptions fresh_opts;
@@ -460,12 +460,12 @@ int main(int argc, char** argv) {
                                      snap->graph().FullRange(), fresh_opts);
         identical = identical && fresh.ok() && incremental != nullptr &&
                     *incremental == *fresh;
-        if (fresh.ok() && incremental != nullptr) {
+        if (identical) {  // equal indexes: the same max_k
           for (uint32_t k = 1; k <= fresh->max_k(); ++k) {
-            const std::vector<Timestamp> expected =
-                QueryEngine::ComputeEmergenceTable(fresh->Slice(k));
+            const std::span<const Timestamp> expected =
+                fresh->EmergenceTable(k);
             const std::span<const Timestamp> table =
-                snap->engine().EmergenceTable(k);
+                incremental->EmergenceTable(k);
             identical = identical &&
                         std::equal(table.begin(), table.end(),
                                    expected.begin(), expected.end());

@@ -1,8 +1,6 @@
 #include "serve/query_engine.h"
 
-#include <algorithm>
 #include <atomic>
-#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -58,87 +56,6 @@ bool SliceOneMatches(const VertexCoreTimeIndex& slice, const TemporalGraph& g) {
     if (i != rows.size()) return false;
   }
   return true;
-}
-
-/// min over u of CT_ts(u) for every start ts of the slice's range: the
-/// earliest end time at which a k-core exists for that start. Computed with
-/// one multiset sweep over the breakpoints; each vertex's core-time function
-/// is non-decreasing in ts, so the result is too.
-std::vector<Timestamp> ComputeEmergence(const VertexCoreTimeIndex& slice) {
-  const Window range = slice.range();
-  const size_t span = static_cast<size_t>(range.Length());
-  std::vector<Timestamp> emergence(span, kInfTime);
-  if (span == 0) return emergence;
-
-  // Bucket every breakpoint by its start time, remembering the value it
-  // replaces. kInfTime doubles as the "no previous value" sentinel: an
-  // entry's previous value can never genuinely be kInfTime, because a
-  // vertex's core times are non-decreasing, so an infinite entry is always
-  // its last.
-  constexpr Timestamp kNoPrev = kInfTime;
-  std::vector<std::vector<std::pair<Timestamp, Timestamp>>> buckets(span);
-  for (VertexId u = 0; u < slice.num_vertices(); ++u) {
-    Timestamp prev = kNoPrev;
-    for (const VctEntry& e : slice.EntriesOf(u)) {
-      buckets[e.start - range.start].emplace_back(prev, e.core_time);
-      prev = e.core_time;
-    }
-  }
-
-  std::multiset<Timestamp> live;
-  for (size_t rel = 0; rel < span; ++rel) {
-    for (const auto& [old_value, new_value] : buckets[rel]) {
-      if (old_value != kNoPrev) {
-        auto it = live.find(old_value);
-        if (it != live.end()) live.erase(it);
-      }
-      live.insert(new_value);
-    }
-    emergence[rel] = live.empty() ? kInfTime : *live.begin();
-  }
-  return emergence;
-}
-
-/// Recomputes emergence[rel] for starts in [first, last] from `slice`,
-/// leaving every entry outside the band untouched: the incremental
-/// maintenance path for suffix-stitched slices, where the stitch contract
-/// guarantees all per-(vertex, start) values outside the band carried over
-/// unchanged — and a table entry is a pure min over those values. Same
-/// multiset sweep as ComputeEmergence, seeded with each vertex's covering
-/// value at `first` and fed only the breakpoints inside the band.
-void RecomputeEmergenceBand(const VertexCoreTimeIndex& slice, Timestamp first,
-                            Timestamp last, std::vector<Timestamp>* table) {
-  const Window range = slice.range();
-  const size_t lo = static_cast<size_t>(first - range.start);
-  const size_t band = static_cast<size_t>(last - first) + 1;
-  constexpr Timestamp kNoPrev = kInfTime;
-  std::vector<std::vector<std::pair<Timestamp, Timestamp>>> buckets(band);
-  std::multiset<Timestamp> live;
-  for (VertexId u = 0; u < slice.num_vertices(); ++u) {
-    const std::span<const VctEntry> rows = slice.EntriesOf(u);
-    // The entry covering `first` (last one with start <= first) seeds the
-    // sweep; later breakpoints inside the band replace it as usual.
-    auto it = std::upper_bound(
-        rows.begin(), rows.end(), first,
-        [](Timestamp t, const VctEntry& e) { return t < e.start; });
-    Timestamp prev = kNoPrev;
-    if (it != rows.begin()) prev = std::prev(it)->core_time;
-    if (prev != kNoPrev) live.insert(prev);
-    for (; it != rows.end() && it->start <= last; ++it) {
-      buckets[it->start - first].emplace_back(prev, it->core_time);
-      prev = it->core_time;
-    }
-  }
-  for (size_t rel = 0; rel < band; ++rel) {
-    for (const auto& [old_value, new_value] : buckets[rel]) {
-      if (old_value != kNoPrev) {
-        auto it = live.find(old_value);
-        if (it != live.end()) live.erase(it);
-      }
-      live.insert(new_value);
-    }
-    (*table)[lo + rel] = live.empty() ? kInfTime : *live.begin();
-  }
 }
 
 }  // namespace
@@ -280,70 +197,26 @@ Status QueryEngine::BuildAdmissionIndex() {
       return Status::InvalidArgument(
           "preloaded index has no slices for this graph");
     }
+    // Admission reads k > max_k() as "provably empty", which only a
+    // complete index proves; a capped one would reject real cores.
+    if (!pre.complete()) {
+      return Status::InvalidArgument(
+          "preloaded index is capped below the graph's kmax");
+    }
     if (!SliceOneMatches(pre.Slice(1), *graph_)) {
       return Status::InvalidArgument(
           "preloaded index was built for a different graph");
     }
-    index_complete_ = pre.complete();
-    InstallAdmissionIndex(pre);  // copy; caller keeps ownership
+    index_ = pre;  // copy; caller keeps ownership
     return Status::OK();
   }
   PhcBuildOptions build;
-  build.max_k = options_.index_max_k;
   build.pool =
       options_.index_build_pool != nullptr ? options_.index_build_pool : pool_;
   auto index = PhcIndex::Build(*graph_, graph_->FullRange(), build);
   if (!index.ok()) return index.status();
-  // Only a complete index proves "k > max_k" globally empty.
-  index_complete_ = index->complete();
-  InstallAdmissionIndex(std::move(index).value());
+  index_ = std::move(index).value();
   return Status::OK();
-}
-
-void QueryEngine::InstallAdmissionIndex(PhcIndex index) {
-  // Emergence-table carry-over: a table is a pure function of its slice,
-  // so a slice shared (by pointer) with the source engine's index has an
-  // identical table — copy it instead of paying the emergence sweep. The
-  // live-update layer wires the predecessor snapshot's engine in here so
-  // every slice PhcIndex::Rebuild reused skips its sweep too.
-  const QueryEngine* source = options_.emergence_source;
-  const PhcIndex* source_index = source != nullptr ? source->index() : nullptr;
-  // Suffix-stitched slices get the incremental path: copy the source's
-  // table and re-sweep only the recomputed band. Everything outside the
-  // band is provably unchanged (the stitch carried those values), so the
-  // result is bit-identical to a full sweep — the differential harness
-  // proves every table against a from-scratch computation.
-  auto band_of = [&](uint32_t k) -> const PhcRebuildStats::SuffixBand* {
-    if (options_.emergence_bands == nullptr) return nullptr;
-    for (const PhcRebuildStats::SuffixBand& band : *options_.emergence_bands) {
-      if (band.k == k) return &band;
-    }
-    return nullptr;
-  };
-  const size_t span = static_cast<size_t>(index.range().Length());
-  emergence_.reserve(index.max_k());
-  for (uint32_t k = 1; k <= index.max_k(); ++k) {
-    const PhcRebuildStats::SuffixBand* band = band_of(k);
-    if (source_index != nullptr && k <= source_index->max_k() &&
-        source_index->SliceShared(k) == index.SliceShared(k)) {
-      emergence_.push_back(source->emergence_[k - 1]);
-      ++emergence_tables_carried_;
-    } else if (band != nullptr && source_index != nullptr &&
-               k <= source_index->max_k() &&
-               source_index->range() == index.range() &&
-               source->emergence_[k - 1].size() == span) {
-      std::vector<Timestamp> table = source->emergence_[k - 1];
-      RecomputeEmergenceBand(index.Slice(k), band->first_dirty,
-                             band->last_dirty, &table);
-      emergence_.push_back(std::move(table));
-      ++emergence_tables_stitched_;
-    } else {
-      emergence_.push_back(ComputeEmergence(index.Slice(k)));
-    }
-  }
-  options_.emergence_source = nullptr;  // never read again; do not dangle
-  options_.emergence_bands = nullptr;
-  index_ = std::move(index);
 }
 
 const PhcIndex* QueryEngine::index() const {
@@ -353,23 +226,9 @@ const PhcIndex* QueryEngine::index() const {
 bool QueryEngine::MayContainCore(uint32_t k, Window range) const {
   if (!index_.has_value() || k < 1) return true;
   if (!range.Valid() || range.end > graph_->num_timestamps()) return true;
-  const uint32_t built_max_k = index_->max_k();
-  if (k > built_max_k) {
-    // Beyond every built slice: provably empty only for a complete index.
-    return !index_complete_;
-  }
-  const std::vector<Timestamp>& table = emergence_[k - 1];
-  return table[range.start - 1] <= range.end;
-}
-
-std::span<const Timestamp> QueryEngine::EmergenceTable(uint32_t k) const {
-  if (k < 1 || k > emergence_.size()) return {};
-  return emergence_[k - 1];
-}
-
-std::vector<Timestamp> QueryEngine::ComputeEmergenceTable(
-    const VertexCoreTimeIndex& slice) {
-  return ComputeEmergence(slice);
+  if (k > index_->max_k()) return false;  // the index is complete
+  return index_->EmergenceTable(k)[range.start - index_->range().start] <=
+         range.end;
 }
 
 RunOutcome QueryEngine::ExecuteUncached(const Query& query,

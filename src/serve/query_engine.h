@@ -6,7 +6,6 @@
 #include <future>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "serve/query_cache.h"
@@ -47,17 +46,16 @@
 ///    concurrency ever observed), so the CoreTime phase reuses its scratch
 ///    vectors. Every execution still allocates its own VCT/ECS arrays
 ///    (FromEmissions) and the enumeration's lists.
-///  * **Admission index.** At construction the engine can build a full PHC
-///    index (all k-slices) over the graph's time span and derive a per-k
-///    *core-emergence table*: min over vertices of CT_ts(u) for every start
-///    ts. A query whose range provably contains no temporal k-core (k
-///    beyond the global kmax, or emergence after the range end) is then
-///    answered in O(1) with the exact empty outcome the full pipeline would
-///    produce — no build, no allocation. The same index answers every
-///    admitted miss with k <= its max_k: the CoreTime phase reads slice k
-///    over the query range (RunCoreTimePhase) instead of running the
-///    fixpoint builder, leaving the ECS pass and the enumeration. Misses
-///    above a capped index_max_k, and engines without an index, build.
+///  * **Admission index.** At construction the engine can build the full
+///    PHC index (every k-slice, each with its core-emergence table; see
+///    vct/phc_index.h) over the graph's time span. A query whose range
+///    provably contains no temporal k-core (k beyond the index's max_k, or
+///    emergence after the range end) is then answered in O(1) with the
+///    exact empty outcome the full pipeline would produce — no build, no
+///    allocation. The same index answers every admitted miss: the CoreTime
+///    phase reads slice k over the query range (RunCoreTimePhase) instead
+///    of running the fixpoint builder, leaving the ECS pass and the
+///    enumeration. Engines without an index build per miss.
 ///  * **Memoization.** Completed outcomes are stored in a bounded LRU
 ///    (serve/query_cache.h) keyed by (k, range), so repeated-query
 ///    workloads are served at lookup cost; admission rejections are stored
@@ -89,7 +87,6 @@
 namespace tkc {
 
 struct VctBuildArena;  // vct/vct_builder.h
-class QueryEngine;
 
 /// Construction-time configuration of a QueryEngine.
 struct QueryEngineOptions {
@@ -117,21 +114,11 @@ struct QueryEngineOptions {
   /// (whichever is earlier); <= 0 means unlimited.
   double per_query_limit_seconds = 0;
 
-  /// Build the full-range PHC index (and emergence tables) at
+  /// Build the full-range PHC index (every k up to the span's kmax) at
   /// construction. Costs one multi-k index build up front; in return the
   /// index rejects provably empty queries in O(1) and answers every
-  /// admitted miss with k <= its max_k by reading slice k instead of
-  /// rebuilding VCT+ECS.
+  /// admitted miss by reading slice k instead of rebuilding VCT+ECS.
   bool build_index = false;
-
-  /// Cap on the admission index's largest k-slice (0 = the span's kmax).
-  /// Rejection stays exact under a cap: a query with k <= the built max_k
-  /// uses its emergence table, and a query with k beyond it is rejected
-  /// only when the index is provably complete — the cap was never reached
-  /// (span kmax < cap, or no cap). When the cap bites (built max_k ==
-  /// cap), beyond-cap queries cannot be proven empty and execute the full
-  /// pipeline.
-  uint32_t index_max_k = 0;
 
   /// Bound of the async submission queue: at most this many batches wait
   /// for dispatch; further unlimited-deadline Submit calls block until
@@ -141,30 +128,13 @@ struct QueryEngineOptions {
   /// Serve the admission index from this prebuilt PHC index (typically
   /// LoadPhcIndex from vct/index_io.h) instead of building one at
   /// construction — the persist/load path that amortizes engine start-up.
-  /// Implies build_index. It must be this graph's index: Create checks its
-  /// range and checks slice 1 exactly against the graph's edge times
-  /// (O(m)), failing with InvalidArgument on a mismatch; the other slices
-  /// are trusted. Copied into the engine; only read during Create.
+  /// Implies build_index. It must be this graph's complete index: Create
+  /// checks its range, that it is complete() (only then does k > max_k()
+  /// prove a query empty), and slice 1 exactly against the graph's edge
+  /// times (O(m)), failing with InvalidArgument otherwise; the other slices
+  /// are trusted. Copied into the engine (a cheap copy: slices are
+  /// shared); only read during Create.
   const PhcIndex* preloaded_index = nullptr;
-
-  /// Engine to copy per-k core-emergence tables from instead of
-  /// recomputing them: a slice of this engine's index that is the *same
-  /// object* (shared_ptr identity) as the source's slice k has, by
-  /// construction, an identical emergence table — the table is a pure
-  /// function of the slice. The live-update layer points this at the
-  /// predecessor snapshot's engine so slices PhcIndex::Rebuild carried by
-  /// pointer stop paying the emergence sweep again. Only read during
-  /// Create; must outlive it.
-  const QueryEngine* emergence_source = nullptr;
-
-  /// Recomputed start bands of the preloaded index's suffix-stitched
-  /// slices (PhcRebuildStats::suffix_bands from the *same* Rebuild that
-  /// produced preloaded_index against emergence_source's index). For each
-  /// banded slice the engine copies the source's emergence table and
-  /// re-sweeps only the band — everything outside it is provably
-  /// unchanged — instead of paying the full per-k sweep. Requires
-  /// emergence_source; only read during Create; must outlive it.
-  const std::vector<PhcRebuildStats::SuffixBand>* emergence_bands = nullptr;
 };
 
 /// One batch submission: the queries and the deadline bounding the whole
@@ -361,35 +331,11 @@ class QueryEngine {
   /// The admission index, or nullptr when the engine was built without one.
   const PhcIndex* index() const;
 
-  /// True iff at least one temporal k-core exists inside `range`, answered
-  /// in O(1) from the emergence table. Requires build_index and a valid
-  /// range inside the graph's span; falls back to `true` (unknown) when the
-  /// table cannot prove emptiness (e.g. k above a capped index).
+  /// True iff at least one temporal k-core exists inside `range`: false
+  /// for k above the index's max_k, otherwise one read of slice k's
+  /// emergence table (PhcIndex::EmergenceTable). `true` (unknown) without
+  /// an index or for a range outside the graph's span.
   bool MayContainCore(uint32_t k, Window range) const;
-
-  /// The per-k core-emergence table (min over vertices of CT_ts(u), indexed
-  /// by ts - range.start), or an empty span when there is no admission
-  /// index or k is out of range. Exposed so the differential harness can
-  /// prove carried tables bit-identical to freshly computed ones.
-  std::span<const Timestamp> EmergenceTable(uint32_t k) const;
-
-  /// Computes the emergence table of one slice from scratch — the exact
-  /// function Create runs per slice when no table carries over.
-  static std::vector<Timestamp> ComputeEmergenceTable(
-      const VertexCoreTimeIndex& slice);
-
-  /// Emergence tables copied from options.emergence_source at construction
-  /// instead of recomputed (0 without a source or an index).
-  uint64_t emergence_tables_carried() const {
-    return emergence_tables_carried_;
-  }
-
-  /// Emergence tables maintained incrementally at construction — copied
-  /// from the source and re-swept only over the suffix-stitched band
-  /// (options.emergence_bands) instead of the full per-k sweep.
-  uint64_t emergence_tables_stitched() const {
-    return emergence_tables_stitched_;
-  }
 
   AlgorithmKind algorithm() const { return options_.algorithm; }
   int num_threads() const { return pool_->num_threads(); }
@@ -405,8 +351,6 @@ class QueryEngine {
   QueryEngine(const TemporalGraph& g, const QueryEngineOptions& options);
 
   [[nodiscard]] Status BuildAdmissionIndex();
-  /// Derives the emergence tables of a built index and installs both.
-  void InstallAdmissionIndex(PhcIndex index);
 
   /// The post-cache-miss path: admission check, algorithm execution (its
   /// CoreTime phase reads the admission index when that holds slice k),
@@ -450,15 +394,8 @@ class QueryEngine {
   QueryEngineOptions options_;
   ThreadPool* pool_ = nullptr;
 
-  /// Admission state (immutable after Create).
+  /// Admission index (immutable after Create; always complete).
   std::optional<PhcIndex> index_;
-  bool index_complete_ = false;  ///< index_ covers every k up to true kmax
-  /// emergence_[k-1][ts - 1]: min over u of CT_ts(u) for slice k, i.e. the
-  /// earliest end time at which a k-core exists for start ts (kInfTime when
-  /// none). Non-decreasing in ts.
-  std::vector<std::vector<Timestamp>> emergence_;
-  uint64_t emergence_tables_carried_ = 0;
-  uint64_t emergence_tables_stitched_ = 0;
 
   /// Relaxed-atomic mirrors of ServeStats, bumped lock-free on the hot
   /// path and aggregated by stats(). Monotone counters need no ordering —

@@ -96,7 +96,6 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
       base_index != nullptr && update.graph.num_timestamps() > 0;
   if (want_index) {
     PhcBuildOptions build;
-    build.max_k = options.index_max_k;
     // The rebuild fans out over the dedicated update pool when the live
     // layer provides one — never the serving pool, whose workers belong to
     // in-flight query batches.
@@ -109,13 +108,6 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
     rebuilt = std::move(index).value();
     successor_options.preloaded_index = &rebuilt;  // copied by Create
     successor_options.build_index = true;
-    // Slices Rebuild carried by pointer have provably identical emergence
-    // tables; let the successor's engine copy them from the base engine
-    // instead of re-running the emergence sweep per reused slice — and
-    // suffix-stitched slices copy the base table and re-sweep only their
-    // recomputed start band (rebuild_stats outlives CreateImpl below).
-    successor_options.emergence_source = &base.engine();
-    successor_options.emergence_bands = &rebuild_stats.suffix_bands;
   }
 
   auto snapshot =
@@ -129,10 +121,6 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
   swap.suffix_rebuilds = rebuild_stats.suffix_rebuilds;
   swap.rows_reused = rebuild_stats.rows_reused;
   swap.rows_total = rebuild_stats.rows_total;
-  swap.emergence_tables_carried =
-      (*snapshot)->engine().emergence_tables_carried();
-  swap.emergence_tables_stitched =
-      (*snapshot)->engine().emergence_tables_stitched();
   // Cross-snapshot cache carry-over: entries whose k lies strictly above
   // the delta's proof boundary answer identically on the new graph, so the
   // successor starts warm for exactly that region. Gated on the delta
@@ -255,9 +243,8 @@ LiveQueryEngine::~LiveQueryEngine() {
 }
 
 std::shared_ptr<const GraphSnapshot> LiveQueryEngine::snapshot() const {
-  // Lock-free pin: an atomic shared_ptr load. Readers never serialize
-  // against each other or against the updater's publishing store.
-  return current_.load(std::memory_order_acquire);
+  MutexLock lock(current_mu_);
+  return current_;
 }
 
 BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
@@ -385,8 +372,7 @@ void LiveQueryEngine::UpdaterLoop() {
     // pool) builds the successor. Transient failures retry with capped
     // backoff inside RebuildWithRetry; the last good snapshot keeps serving
     // throughout.
-    std::shared_ptr<const GraphSnapshot> base =
-        current_.load(std::memory_order_acquire);
+    std::shared_ptr<const GraphSnapshot> base = snapshot();
     std::shared_ptr<const GraphSnapshot> next;
     // Version advances by the whole group: version N stays "initial
     // graph + update batches 1..N" even when swaps coalesce.
@@ -397,9 +383,15 @@ void LiveQueryEngine::UpdaterLoop() {
     double swap_seconds = 0;
     if (status.ok()) {
       WallTimer swap_timer;
-      // The swap is one atomic shared_ptr store: queries pin before or
-      // after, never mid-swap (no torn reads), and never wait on it.
-      current_.store(next, std::memory_order_release);
+      // The swap is one pointer exchange under current_mu_: queries pin
+      // before or after, never mid-swap (no torn reads). The superseded
+      // snapshot is released outside the lock.
+      std::shared_ptr<const GraphSnapshot> superseded = next;
+      {
+        MutexLock lock(current_mu_);
+        current_.swap(superseded);
+      }
+      superseded.reset();
       {
         // Track the new version for destructor-time draining; expired
         // entries (snapshots whose last pin is gone) are pruned here so
@@ -436,10 +428,8 @@ void LiveQueryEngine::UpdaterLoop() {
         stats_.update.suffix_rebuilds += swap.suffix_rebuilds;
         stats_.update.rows_reused += swap.rows_reused;
         stats_.update.rows_total += swap.rows_total;
-        stats_.update.emergence_tables_carried +=
-            swap.emergence_tables_carried;
-        stats_.update.emergence_tables_stitched +=
-            swap.emergence_tables_stitched;
+        // A table lives with its slice: every reused slice carried one.
+        stats_.update.emergence_tables_carried += swap.slices_reused;
         stats_.update.cache_entries_carried += swap.cache_entries_carried;
         if (swap.slices_reused > 0 || swap.suffix_rebuilds > 0) {
           ++stats_.update.incremental_swaps;

@@ -17,15 +17,54 @@ namespace tkc {
 
 namespace {
 
-/// Builds the k-slice for (g, range) and wraps it in the shared handle the
-/// index stores. Pure function of its arguments; arena only recycles
-/// scratch.
-std::shared_ptr<const VertexCoreTimeIndex> BuildSlice(const TemporalGraph& g,
-                                                      uint32_t k, Window range,
-                                                      VctBuildArena* arena,
-                                                      ThreadPool* pool) {
-  return std::make_shared<const VertexCoreTimeIndex>(
-      BuildVctAndEcs(g, k, range, arena, pool).vct);
+/// Builds the k-slice for (g, range). Pure function of its arguments; the
+/// arena only recycles scratch. Returning the VCT alone frees the build's
+/// ECS before the caller derives the slice's emergence table, so the
+/// long-lived table does not pin the heap above the freed ECS.
+VertexCoreTimeIndex BuildSlice(const TemporalGraph& g, uint32_t k, Window range,
+                               VctBuildArena* arena, ThreadPool* pool) {
+  return BuildVctAndEcs(g, k, range, arena, pool).vct;
+}
+
+/// The emergence table of one slice (PhcIndex::EmergenceTable): each row's
+/// value lands on the last start it covers, then a suffix minimum carries
+/// it back over every earlier start. Needs every vertex with rows to have
+/// one at range.start (FromSlices checks it; every build emits it).
+std::vector<Timestamp> EmergenceOf(const VertexCoreTimeIndex& slice) {
+  const Window range = slice.range();
+  std::vector<Timestamp> table(range.Length(), kInfTime);
+  for (VertexId u = 0; u < slice.num_vertices(); ++u) {
+    const std::span<const VctEntry> rows = slice.EntriesOf(u);
+    TKC_DCHECK(rows.empty() || rows.front().start == range.start);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Timestamp last =
+          i + 1 < rows.size() ? rows[i + 1].start - 1 : range.end;
+      Timestamp& entry = table[last - range.start];
+      entry = std::min(entry, rows[i].core_time);
+    }
+  }
+  for (size_t i = table.size(); i > 1; --i) {
+    table[i - 2] = std::min(table[i - 2], table[i - 1]);
+  }
+  return table;
+}
+
+/// True iff every vertex's rows start at range.start and their starts
+/// strictly increase inside the range — the shape every build emits, and
+/// the one EmergenceOf needs to stay exact and in bounds.
+bool RowsWellFormed(const VertexCoreTimeIndex& slice) {
+  const Window range = slice.range();
+  for (VertexId u = 0; u < slice.num_vertices(); ++u) {
+    const std::span<const VctEntry> rows = slice.EntriesOf(u);
+    if (rows.empty()) continue;
+    if (rows.front().start != range.start) return false;
+    for (size_t i = 1; i < rows.size(); ++i) {
+      if (rows[i].start <= rows[i - 1].start || rows[i].start > range.end) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 /// The per-slice endpoint-connectivity proof behind band tightening: for a
@@ -212,10 +251,11 @@ StatusOr<PhcIndex> PhcIndex::Build(const TemporalGraph& g, Window range,
   // Complete iff every k with a non-empty core got a slice — the cap was
   // absent or at least as large as the span's kmax.
   index.complete_ = options.max_k == 0 || span_kmax <= options.max_k;
-  // Slice k lands at index k-1 no matter which worker computes it or when
-  // it finishes, so the result is bit-identical to a serial build. Each
-  // build is a pure function of (g, k, range); the arena only recycles
-  // scratch allocations. The pool is also handed to each slice build: fanned
+  // Slice k (with its emergence table, derived in the same task) lands at
+  // index k-1 no matter which worker computes it or when it finishes, so
+  // the result is bit-identical to a serial build. Each build is a pure
+  // function of (g, k, range); the arena only recycles scratch
+  // allocations. The pool is also handed to each slice build: fanned
   // slice workers degrade it to an inline loop (nested ParallelFor), but
   // the serial path below — notably the kmax == 1 case a snapshot rebuild
   // on a dedicated thread can hit — parallelizes the slice's bootstrap.
@@ -224,13 +264,14 @@ StatusOr<PhcIndex> PhcIndex::Build(const TemporalGraph& g, Window range,
   if (pool == nullptr || pool->num_threads() <= 1 || kmax <= 1) {
     VctBuildArena arena;
     for (uint32_t k = 1; k <= kmax; ++k) {
-      index.slices_[k - 1] = BuildSlice(g, k, range, &arena, pool);
+      index.slices_[k - 1] = MakeSlice(BuildSlice(g, k, range, &arena, pool));
     }
   } else {
     std::vector<VctBuildArena> arenas(pool->num_threads());
     pool->ParallelFor(kmax, [&](size_t i, int worker) {
-      index.slices_[i] = BuildSlice(g, static_cast<uint32_t>(i) + 1, range,
-                                    &arenas[worker], pool);
+      const uint32_t k = static_cast<uint32_t>(i) + 1;
+      index.slices_[i] =
+          MakeSlice(BuildSlice(g, k, range, &arenas[worker], pool));
     });
   }
   return index;
@@ -314,7 +355,7 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
     if (k > local.clean_above_k) {
       index.slices_[k - 1] = old_index.slices_[k - 1];  // shared, by pointer
       ++local.slices_reused;
-      local.rows_reused += old_index.slices_[k - 1]->size();
+      local.rows_reused += old_index.Slice(k).size();
       continue;
     }
     // Dirty by the core bound — but the delta's time extent may still pin
@@ -328,13 +369,11 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
     if (first_dirty == kInfTime) {
       index.slices_[k - 1] = old_index.slices_[k - 1];  // provably clean
       ++local.slices_reused;
-      local.rows_reused += old_index.slices_[k - 1]->size();
+      local.rows_reused += old_index.Slice(k).size();
     } else if (first_dirty == range.start && delta.max_time == range.end) {
       full.push_back(k);  // the dirty band is the whole slice
     } else {
       partial.push_back(SuffixTask{k, first_dirty});
-      local.suffix_bands.push_back(
-          PhcRebuildStats::SuffixBand{k, first_dirty, delta.max_time});
     }
   }
   local.slices_rebuilt = static_cast<uint32_t>(full.size());
@@ -345,19 +384,20 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
   // and splice the partial ones: recompute starts
   // [first_dirty, delta.max_time] over the suffix window, carry the
   // prefix/tail rows from the old slice. Per-task row counts land in
-  // fixed slots so the reuse accounting is deterministic too.
+  // fixed slots so the reuse accounting is deterministic too. Every new
+  // slice derives its emergence table in the same task.
   std::vector<uint64_t> partial_rows(partial.size(), 0);
   auto run_task = [&](size_t i, VctBuildArena* arena, ThreadPool* pool) {
     if (i < full.size()) {
       const uint32_t k = full[i];
-      index.slices_[k - 1] = BuildSlice(g, k, range, arena, pool);
+      index.slices_[k - 1] = MakeSlice(BuildSlice(g, k, range, arena, pool));
       return;
     }
     const SuffixTask& task = partial[i - full.size()];
     const Window suffix{task.first_dirty, range.end};
     const VertexCoreTimeIndex band =
         BuildVctSuffix(g, task.k, suffix, delta.max_time, arena, pool);
-    index.slices_[task.k - 1] = std::make_shared<const VertexCoreTimeIndex>(
+    index.slices_[task.k - 1] = MakeSlice(
         StitchCoreTimeSuffix(old_index.Slice(task.k), band, task.first_dirty,
                              delta.max_time, &partial_rows[i - full.size()]));
   };
@@ -373,7 +413,7 @@ StatusOr<PhcIndex> PhcIndex::Rebuild(const PhcIndex& old_index,
     });
   }
   for (uint64_t rows : partial_rows) local.rows_reused += rows;
-  for (const auto& slice : index.slices_) local.rows_total += slice->size();
+  local.rows_total = index.size();
   if (stats != nullptr) *stats = local;
   return index;
 }
@@ -392,32 +432,49 @@ StatusOr<PhcIndex> PhcIndex::FromSlices(
       return Status::InvalidArgument("slice " + std::to_string(i + 1) +
                                      " has a different vertex count");
     }
+    if (!RowsWellFormed(slices[i])) {
+      return Status::InvalidArgument("slice " + std::to_string(i + 1) +
+                                     " has rows no build emits");
+    }
   }
   PhcIndex index;
   index.range_ = range;
   index.complete_ = complete;
   index.slices_.reserve(slices.size());
   for (VertexCoreTimeIndex& slice : slices) {
-    index.slices_.push_back(
-        std::make_shared<const VertexCoreTimeIndex>(std::move(slice)));
+    index.slices_.push_back(MakeSlice(std::move(slice)));
   }
   return index;
 }
 
+std::shared_ptr<const PhcIndex::SliceEntry> PhcIndex::MakeSlice(
+    VertexCoreTimeIndex vct) {
+  std::vector<Timestamp> emergence = EmergenceOf(vct);
+  return std::make_shared<const SliceEntry>(
+      SliceEntry{std::move(vct), std::move(emergence)});
+}
+
 const VertexCoreTimeIndex& PhcIndex::Slice(uint32_t k) const {
   TKC_CHECK(k >= 1 && k <= slices_.size());
-  return *slices_[k - 1];
+  return slices_[k - 1]->vct;
 }
 
 std::shared_ptr<const VertexCoreTimeIndex> PhcIndex::SliceShared(
     uint32_t k) const {
   TKC_CHECK(k >= 1 && k <= slices_.size());
-  return slices_[k - 1];
+  // Aliases the entry: the handle keeps the whole entry alive and compares
+  // equal exactly when two indexes share the slice.
+  return {slices_[k - 1], &slices_[k - 1]->vct};
+}
+
+std::span<const Timestamp> PhcIndex::EmergenceTable(uint32_t k) const {
+  TKC_CHECK(k >= 1 && k <= slices_.size());
+  return slices_[k - 1]->emergence;
 }
 
 Timestamp PhcIndex::CoreTimeAt(VertexId u, Timestamp ts, uint32_t k) const {
   if (k == 0 || k > slices_.size()) return kInfTime;
-  return slices_[k - 1]->CoreTimeAt(u, ts);
+  return slices_[k - 1]->vct.CoreTimeAt(u, ts);
 }
 
 bool PhcIndex::VertexInCore(VertexId u, Window window, uint32_t k) const {
@@ -441,7 +498,7 @@ uint32_t PhcIndex::HistoricalCoreNumber(VertexId u, Window window) const {
 
 uint64_t PhcIndex::size() const {
   uint64_t total = 0;
-  for (const auto& slice : slices_) total += slice->size();
+  for (const auto& slice : slices_) total += slice->vct.size();
   return total;
 }
 
@@ -461,7 +518,7 @@ uint64_t PhcIndex::MemoryUsageBytes() const {
   // Shared slices are counted in full: this reports the index's logical
   // footprint, not the marginal cost over other snapshots' indexes.
   uint64_t total = 0;
-  for (const auto& slice : slices_) total += slice->MemoryUsageBytes();
+  for (const auto& slice : slices_) total += slice->vct.MemoryUsageBytes();
   return total;
 }
 

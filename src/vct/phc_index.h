@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/temporal_graph.h"
@@ -24,13 +25,20 @@
 /// regardless of completion order. Each worker reuses one VctBuildArena
 /// across all slices it claims.
 ///
-/// Slices are held behind shared_ptr<const VertexCoreTimeIndex>: an index
-/// is a cheap-to-copy stack of immutable slices, and successive graph
-/// versions can *share* the slices an edge delta provably did not touch.
-/// That sharing is what Rebuild exploits — the live serving layer's
-/// incremental maintenance path: instead of rebuilding every k-slice on
-/// each snapshot swap, it reuses the clean ones by pointer and rebuilds
-/// only the dirty ones, bit-identical to a from-scratch Build.
+/// Each slice carries its *core-emergence table*: for every start ts, the
+/// least CT_ts(u) over all vertices — the earliest end time at which a
+/// k-core exists for that start (kInfTime when none does). The table is a
+/// pure function of the slice, derived by one linear pass whenever a slice
+/// is installed (Build, Rebuild, FromSlices), and it answers "does
+/// [Ts, Te] contain any k-core?" with one read.
+///
+/// Slices (with their tables) are held behind shared_ptr: an index is a
+/// cheap-to-copy stack of immutable slices, and successive graph versions
+/// can *share* the slices an edge delta provably did not touch. That
+/// sharing is what Rebuild exploits — the live serving layer's incremental
+/// maintenance path: instead of rebuilding every k-slice on each snapshot
+/// swap, it reuses the clean ones by pointer and rebuilds only the dirty
+/// ones, bit-identical to a from-scratch Build.
 
 namespace tkc {
 
@@ -49,17 +57,6 @@ struct PhcRebuildStats {
   /// "No slice (or cached outcome) is provably clean."
   static constexpr uint32_t kNothingClean = 0xffffffffu;
 
-  /// The recomputed start band of one suffix-maintained slice: rows with
-  /// start in [first_dirty, last_dirty] were recomputed, every other
-  /// (vertex, start) value provably carried over unchanged. The serving
-  /// layer consumes these to maintain the per-k emergence tables
-  /// incrementally — only band entries need the sweep re-run.
-  struct SuffixBand {
-    uint32_t k = 0;
-    Timestamp first_dirty = 0;
-    Timestamp last_dirty = 0;
-  };
-
   /// Slices of the old index reused by pointer.
   uint32_t slices_reused = 0;
   /// Slices (re)built from scratch over the new graph.
@@ -68,9 +65,6 @@ struct PhcRebuildStats {
   /// could have touched was recomputed (BuildVctSuffix), the untouched
   /// prefix/tail rows carried over (StitchCoreTimeSuffix).
   uint32_t suffix_rebuilds = 0;
-  /// One entry per suffix-maintained slice, ascending k (suffix_rebuilds
-  /// entries in total).
-  std::vector<SuffixBand> suffix_bands;
   /// Slices whose recompute band shrank below (or closed entirely against)
   /// the global [first value >= delta.min_time, delta.max_time] bound
   /// because the per-vertex impact proof showed the delta edges cannot
@@ -157,9 +151,11 @@ class PhcIndex {
                                     PhcRebuildStats* stats = nullptr);
 
   /// Reassembles an index from already-built slices (the deserialization
-  /// path of vct/index_io.h). Validates that slice k sits at index k-1 over
-  /// a consistent (range, vertex count); `complete` must be the value the
-  /// original build reported. Fails with InvalidArgument on inconsistency.
+  /// path of vct/index_io.h) and derives their emergence tables. Validates
+  /// that slice k sits at index k-1 over a consistent (range, vertex count)
+  /// and that every vertex's rows have the shape a build emits (see
+  /// EmergenceTable); `complete` must be the value the original build
+  /// reported. Fails with InvalidArgument on inconsistency.
   static StatusOr<PhcIndex> FromSlices(Window range, bool complete,
                                        std::vector<VertexCoreTimeIndex> slices);
 
@@ -181,6 +177,15 @@ class PhcIndex {
   /// detect cross-snapshot sharing (a Rebuild reuses slices by pointer).
   std::shared_ptr<const VertexCoreTimeIndex> SliceShared(uint32_t k) const;
 
+  /// The core-emergence table of slice `k` (1 <= k <= max_k()): entry
+  /// ts - range().start holds min over u of CT_ts(u), non-decreasing in ts.
+  /// [Ts, Te] contains a k-core iff the entry for Ts is <= Te. Derived in
+  /// O(|VCT_k| + span): k-cores grow with the window, so a vertex with rows
+  /// has one from range().start on, each row holds until the next row's
+  /// start, and a vertex's values only rise — the entry for ts is the
+  /// least value among rows ending at or after ts, a suffix minimum.
+  std::span<const Timestamp> EmergenceTable(uint32_t k) const;
+
   /// CT^k_ts(u): core time of u for start ts at cohesion k. Returns
   /// kInfTime when k exceeds max_k() (no such core exists in the range).
   Timestamp CoreTimeAt(VertexId u, Timestamp ts, uint32_t k) const;
@@ -196,13 +201,24 @@ class PhcIndex {
   /// Total entries across all slices.
   uint64_t size() const;
 
+  /// Bytes held by the slices' VCT rows; the emergence tables (one
+  /// Timestamp per start per slice) are not counted.
   uint64_t MemoryUsageBytes() const;
 
  private:
+  /// One k-slice and the emergence table derived from it, shared as a
+  /// unit: a slice reused by pointer carries its table.
+  struct SliceEntry {
+    VertexCoreTimeIndex vct;
+    std::vector<Timestamp> emergence;
+  };
+  /// Derives `vct`'s emergence table and wraps both in one shared entry.
+  static std::shared_ptr<const SliceEntry> MakeSlice(VertexCoreTimeIndex vct);
+
   Window range_{0, 0};
   bool complete_ = true;
   /// Slice k at index k-1; immutable and shareable across index versions.
-  std::vector<std::shared_ptr<const VertexCoreTimeIndex>> slices_;
+  std::vector<std::shared_ptr<const SliceEntry>> slices_;
 };
 
 /// Bit-identity of two indexes: same range, completeness, max_k, and

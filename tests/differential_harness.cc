@@ -184,7 +184,6 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   options.engine.algorithm = AlgorithmKind::kEnum;
   options.engine.pool = &pool;
   options.engine.build_index = rng.NextBool(0.5);
-  options.engine.index_max_k = rng.NextBool(0.3) ? 2 : 0;  // capped sometimes
   options.engine.cache_capacity = rng.NextBool(0.25) ? 0 : 64;
   options.engine.async_queue_capacity = 4;  // small: exercise backpressure
   options.update_queue_capacity = 4;
@@ -295,7 +294,6 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
         return;
       }
       PhcBuildOptions build;
-      build.max_k = options.engine.index_max_k;
       build.pool = &pool;
       auto fresh =
           PhcIndex::Build(snap->graph(), snap->graph().FullRange(), build);
@@ -324,14 +322,13 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
           report.first_mismatch = out.str();
         }
       }
-      // Emergence tables: carried or recomputed, each must equal a table
-      // freshly derived from the from-scratch slice.
-      if (fresh.ok()) {
+      // Emergence tables: each slice's table — carried with a reused slice
+      // or derived for a rebuilt or stitched one — must equal the
+      // from-scratch index's.
+      if (fresh.ok() && index->max_k() == fresh->max_k()) {
         for (uint32_t k = 1; k <= fresh->max_k(); ++k) {
-          const std::span<const Timestamp> table =
-              snap->engine().EmergenceTable(k);
-          const std::vector<Timestamp> expected =
-              QueryEngine::ComputeEmergenceTable(fresh->Slice(k));
+          const std::span<const Timestamp> table = index->EmergenceTable(k);
+          const std::span<const Timestamp> expected = fresh->EmergenceTable(k);
           ++report.tables_checked;
           if (!std::equal(table.begin(), table.end(), expected.begin(),
                           expected.end())) {

@@ -38,9 +38,9 @@ struct DifferentialConfig {
   /// incrementally maintained PhcIndex (delta-aware Rebuild — pointer-
   /// reused and suffix-stitched slices alike) is bit-identical, slice by
   /// slice, to a from-scratch PhcIndex::Build on the swapped-in graph, and
-  /// that every per-k core-emergence table (carried or recomputed) equals
-  /// one freshly derived from the from-scratch slice. Any disagreement
-  /// counts as a mismatch.
+  /// that every slice's core-emergence table (carried with a reused slice
+  /// or derived for a new one) equals the from-scratch index's. Any
+  /// disagreement counts as a mismatch.
   bool incremental = false;
   /// Fault mode: arm every fault point (`rebuild.fail`, `queue.full`,
   /// `dispatch.slow_worker`) with schedules derived from `seed`, attach

@@ -370,12 +370,9 @@ TEST(LiveQueryEngineTest, SmallDeltaReusesSlicesAndCarriesCache) {
   // most of the index.
   EXPECT_GT(update.rows_reused, 0u);
   EXPECT_LE(update.rows_reused, update.rows_total);
-  // Exactly the pointer-shared slices skip their emergence sweep on the
-  // successor engine, and exactly the suffix-stitched slices re-sweep only
-  // their recomputed start band (slice reuse implies a preserved timeline
-  // and range, so the stitch preconditions always hold alongside it).
+  // A table lives with its slice: exactly the pointer-shared slices carry
+  // theirs across the swap.
   EXPECT_EQ(update.emergence_tables_carried, update.slices_reused);
-  EXPECT_EQ(update.emergence_tables_stitched, update.suffix_rebuilds);
 
   const GraphSnapshot::SwapStats& swap = after->swap_stats();
   EXPECT_EQ(swap.delta_edges, 1u);
@@ -383,8 +380,6 @@ TEST(LiveQueryEngineTest, SmallDeltaReusesSlicesAndCarriesCache) {
   EXPECT_EQ(swap.slices_rebuilt, update.slices_rebuilt);
   EXPECT_EQ(swap.suffix_rebuilds, update.suffix_rebuilds);
   EXPECT_EQ(swap.rows_reused, update.rows_reused);
-  EXPECT_EQ(swap.emergence_tables_carried, update.emergence_tables_carried);
-  EXPECT_EQ(swap.emergence_tables_stitched, update.emergence_tables_stitched);
   EXPECT_EQ(swap.cache_entries_carried, update.cache_entries_carried);
 
   // Reused slices are shared by pointer; every slice — reused or rebuilt —
@@ -496,9 +491,6 @@ TEST(LiveQueryEngineTest, LateDeltaMaintainsDirtySlicesBySuffix) {
 
   UpdateStats update = (*live)->update_stats();
   EXPECT_GT(update.suffix_rebuilds, 0u);
-  // Every suffix-stitched slice also maintains its emergence table
-  // incrementally: predecessor table copied, only the band re-swept.
-  EXPECT_EQ(update.emergence_tables_stitched, update.suffix_rebuilds);
   // Only the delta-dirtied slices (k <= bound 2) may need any rebuilding,
   // and at least one of them is maintained partially. (A slice can still
   // rebuild whole — e.g. k=1 when some vertex's first edge sits at the
@@ -519,10 +511,10 @@ TEST(LiveQueryEngineTest, LateDeltaMaintainsDirtySlicesBySuffix) {
       PhcIndex::Build(after->graph(), after->graph().FullRange(), build);
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(*incremental == *fresh);
+  ASSERT_EQ(incremental->max_k(), fresh->max_k());
   for (uint32_t k = 1; k <= fresh->max_k(); ++k) {
-    const std::vector<Timestamp> expected =
-        QueryEngine::ComputeEmergenceTable(fresh->Slice(k));
-    const std::span<const Timestamp> table = after->engine().EmergenceTable(k);
+    const std::span<const Timestamp> expected = fresh->EmergenceTable(k);
+    const std::span<const Timestamp> table = incremental->EmergenceTable(k);
     ASSERT_TRUE(std::equal(table.begin(), table.end(), expected.begin(),
                            expected.end()))
         << "emergence table differs at k=" << k;

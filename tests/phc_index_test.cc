@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "datasets/generators.h"
 #include "graph/core_decomposition.h"
 #include "graph/window_peeler.h"
@@ -102,6 +108,140 @@ TEST(PhcIndexTest, SizeAndMemoryAggregate) {
   }
   EXPECT_EQ(index->size(), total);
   EXPECT_GT(index->MemoryUsageBytes(), 0u);
+}
+
+// --- Emergence tables ---------------------------------------------------
+
+// The independent oracle for EmergenceTable: for every k and start ts, the
+// least te whose window [ts, te] has a non-empty k-core by per-window
+// peeling, or kInfTime when no window from ts has one. A complete index
+// must also leave no (max_k + 1)-core anywhere in its range.
+void ExpectEmergenceMatchesPeeling(const TemporalGraph& g,
+                                   const PhcIndex& index) {
+  auto any = [](const std::vector<bool>& in_core) {
+    return std::find(in_core.begin(), in_core.end(), true) != in_core.end();
+  };
+  const Window range = index.range();
+  for (uint32_t k = 1; k <= index.max_k(); ++k) {
+    const std::span<const Timestamp> table = index.EmergenceTable(k);
+    ASSERT_EQ(table.size(), range.Length()) << "k=" << k;
+    for (Timestamp ts = range.start; ts <= range.end; ++ts) {
+      Timestamp expected = kInfTime;
+      for (Timestamp te = ts; te <= range.end; ++te) {
+        if (any(ComputeWindowCoreVertices(g, k, Window{ts, te}))) {
+          expected = te;
+          break;
+        }
+      }
+      EXPECT_EQ(table[ts - range.start], expected)
+          << "k=" << k << " ts=" << ts;
+    }
+  }
+  if (index.complete()) {
+    EXPECT_FALSE(any(ComputeWindowCoreVertices(g, index.max_k() + 1, range)));
+  }
+}
+
+TEST(PhcEmergenceTest, MatchesPeelingOnRandomGraphs) {
+  for (uint64_t seed : {3, 7, 11, 19}) {
+    TemporalGraph g = GenerateUniformRandom(14, 90, 10, seed);
+    auto index = PhcIndex::Build(g, g.FullRange());
+    ASSERT_TRUE(index.ok());
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ExpectEmergenceMatchesPeeling(g, *index);
+  }
+}
+
+TEST(PhcEmergenceTest, MatchesPeelingOnPaperExample) {
+  TemporalGraph g = PaperExampleGraph();
+  auto index = PhcIndex::Build(g, g.FullRange());
+  ASSERT_TRUE(index.ok());
+  ExpectEmergenceMatchesPeeling(g, *index);
+}
+
+TEST(PhcEmergenceTest, MatchesPeelingOnParallelEdges) {
+  // Exact (u, v, t) duplicates survive ingestion with dedup off; they add
+  // no distinct neighbor, so no table entry may move because of them.
+  TemporalGraphBuilder builder;
+  builder.SetDeduplicateExact(false);
+  Rng rng(41);
+  for (int i = 0; i < 80; ++i) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(10));
+    const VertexId v = static_cast<VertexId>(rng.NextBounded(10));
+    if (u == v) continue;
+    const Timestamp t = 1 + static_cast<Timestamp>(rng.NextBounded(8));
+    builder.AddEdge(u, v, t);
+    if (rng.NextBool(0.4)) builder.AddEdge(u, v, t);
+  }
+  auto g = builder.Build();
+  ASSERT_TRUE(g.ok());
+  auto index = PhcIndex::Build(*g, g->FullRange());
+  ASSERT_TRUE(index.ok());
+  ExpectEmergenceMatchesPeeling(*g, *index);
+}
+
+// Rebuild's slices must carry tables that describe the new graph: reused
+// ones keep theirs, stitched ones derive a new one.
+void ExpectRebuiltEmergenceMatchesPeeling(
+    const TemporalGraph& base, const std::vector<RawTemporalEdge>& edges,
+    PhcRebuildStats* stats) {
+  auto old_index = PhcIndex::Build(base, base.FullRange());
+  ASSERT_TRUE(old_index.ok());
+  auto update = base.AppendEdges(edges);
+  ASSERT_TRUE(update.ok());
+  auto rebuilt = PhcIndex::Rebuild(*old_index, update->graph, update->delta,
+                                   PhcBuildOptions{}, stats);
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_GT(stats->suffix_rebuilds, 0u);
+  ExpectEmergenceMatchesPeeling(update->graph, *rebuilt);
+}
+
+TEST(PhcEmergenceTest, MatchesPeelingAfterSuffixStitchedRebuild) {
+  // A mid-timeline pendant delta on a dense graph: the dirty slices are
+  // stitched and the rest reused by pointer.
+  TemporalGraph dense = GenerateUniformRandom(18, 300, 10, 21);
+  const VertexId p = dense.num_vertices(), q = p + 1;
+  auto based = dense.AppendEdges(std::vector<RawTemporalEdge>{
+      {p, 0, dense.RawTimestamp(1)}, {q, 1, dense.RawTimestamp(2)}});
+  ASSERT_TRUE(based.ok());
+  const TemporalGraph& base = based->graph;
+  PhcRebuildStats stats;
+  ExpectRebuiltEmergenceMatchesPeeling(
+      base, {{p, q, base.RawTimestamp(base.num_timestamps() / 2)}}, &stats);
+  EXPECT_GT(stats.slices_reused, 0u);
+
+  // A delta that closes a triangle at t=5 creates the first 2-core for
+  // starts 2..5, so the stitched k=2 slice's table changes from
+  // [1, inf, inf, inf, inf, inf] to [1, 5, 5, 5, 5, inf].
+  const std::vector<RawTemporalEdge> edges = {
+      {0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {6, 7, 2}, {6, 7, 3}, {6, 7, 4},
+      {3, 4, 5}, {4, 5, 5}, {0, 6, 6}};
+  TemporalGraphBuilder builder;
+  for (const RawTemporalEdge& e : edges) builder.AddEdge(e.u, e.v, e.raw_time);
+  auto small = builder.Build();
+  ASSERT_TRUE(small.ok());
+  ExpectRebuiltEmergenceMatchesPeeling(*small, {{3, 5, 5}}, &stats);
+}
+
+TEST(PhcEmergenceTest, FromSlicesDerivesTablesAndRejectsMalformedRows) {
+  TemporalGraph g = GenerateUniformRandom(14, 90, 10, 5);
+  auto built = PhcIndex::Build(g, g.FullRange());
+  ASSERT_TRUE(built.ok());
+  std::vector<VertexCoreTimeIndex> slices;
+  for (uint32_t k = 1; k <= built->max_k(); ++k) {
+    slices.push_back(built->Slice(k));
+  }
+  auto loaded = PhcIndex::FromSlices(g.FullRange(), built->complete(), slices);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectEmergenceMatchesPeeling(g, *loaded);
+
+  // A vertex whose first row starts after the range start: no build emits
+  // one (k-cores grow with the window), and the table pass relies on that.
+  const std::pair<VertexId, VctEntry> late_row{0, VctEntry{2, 5}};
+  slices.push_back(VertexCoreTimeIndex::FromEmissions(
+      g.num_vertices(), g.FullRange(), std::span(&late_row, 1)));
+  auto malformed = PhcIndex::FromSlices(g.FullRange(), false, slices);
+  EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Delta-aware Rebuild -----------------------------------------------

@@ -304,22 +304,19 @@ TEST(QueryEngineIndexTest, IndexAnswersPointLookups) {
   EXPECT_EQ(plain->index(), nullptr);
 }
 
-TEST(QueryEngineIndexTest, CappedIndexNeverRejectsAboveCap) {
+TEST(QueryEngineIndexTest, PreloadedCappedIndexIsRejected) {
+  // Admission reads k > max_k() as "no such core", which a capped index
+  // cannot prove: Create must refuse one rather than reject real cores.
   TemporalGraph g = ServeGraph();
   GraphStats stats = ComputeGraphStats(g);
   ASSERT_GT(stats.kmax, 2u);
+  auto capped = PhcIndex::Build(g, g.FullRange(), PhcBuildOptions{2});
+  ASSERT_TRUE(capped.ok());
+  ASSERT_FALSE(capped->complete());
   QueryEngineOptions options;
-  options.build_index = true;
-  options.index_max_k = 2;  // below the true kmax
+  options.preloaded_index = &*capped;
   auto engine = QueryEngine::Create(g, options);
-  ASSERT_TRUE(engine.ok());
-  // k above the cap is not provably empty, so the engine must execute, and
-  // the result must still match the pipeline.
-  const Query q{3, Window{1, g.num_timestamps()}};
-  RunOutcome served = engine->ServeBatch({q})[0];
-  RunOutcome pipeline = RunAlgorithm(AlgorithmKind::kEnum, g, q);
-  ExpectSameResults(pipeline, served, "above-cap query");
-  EXPECT_EQ(engine->stats().index_rejections, 0u);
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryEngineAsyncTest, SubmitAsyncMatchesServeBatch) {
