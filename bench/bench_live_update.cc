@@ -233,8 +233,8 @@ int main(int argc, char** argv) {
     queries = std::move(generated).value();
   }
 
-  // Per-(version, query) references, computed on demand: the engine's
-  // algorithm (Enum) run directly on the chain graph.
+  // Per-(version, query) references, computed on demand: the Enum walk
+  // (RunAlgorithm(kEnum)) run directly on the chain graph.
   std::map<std::pair<uint64_t, size_t>, RunOutcome> references;
   auto reference_of = [&](uint64_t version, size_t qi) -> const RunOutcome& {
     auto key = std::make_pair(version, qi);

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the library's building blocks:
 // graph construction, static peeling, the core-time sweep, the efficient
-// VCT/ECS builder, the Enum linked-list enumeration, and the baselines.
+// VCT/ECS builder, the Enum linked-list enumeration, the segment-tree count
+// that serves misses, and the baselines.
 // These quantify the per-phase costs behind the figure-level results and
 // serve as ablations for DESIGN.md's design choices (fixpoint advance vs
 // per-start sweeps; Enum vs EnumBase given identical skylines).
@@ -121,6 +122,21 @@ void BM_EnumFromEcs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnumFromEcs)->Arg(0)->Arg(1)->Arg(2);
+
+// The served miss's layer: Enum's counts from the same skyline, no walk.
+void BM_CountFromEcs(benchmark::State& state) {
+  const TemporalGraph& g = SharedGraph(static_cast<int>(state.range(0)));
+  Window range{1, g.num_timestamps() / 4};
+  VctBuildResult built = BuildVctAndEcs(g, 4, range);
+  for (auto _ : state) {
+    EnumStats count;
+    Status s = CountFromEcs(built.ecs, &count);
+    benchmark::DoNotOptimize(count.num_cores);
+    benchmark::DoNotOptimize(count.result_size_edges);
+    if (!s.ok()) state.SkipWithError("count failed");
+  }
+}
+BENCHMARK(BM_CountFromEcs)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_EnumBaseFromEcs(benchmark::State& state) {
   const TemporalGraph& g = SharedGraph(static_cast<int>(state.range(0)));

@@ -14,11 +14,12 @@
 //   * warm  — pure cache-hit throughput, measured over as many extra
 //     passes as it takes to accumulate ~20ms so the timing is meaningful.
 // Every outcome is verified bit-identical (result fields) to a serial
-// RunAlgorithm reference; any mismatch fails the run.
+// RunAlgorithm(kEnum) reference; any mismatch fails the run. The engine
+// serves one pipeline (CountTemporalKCores), recorded as "algo": "Enum".
 //
 // Flags (env fallbacks TKC_<UPPER>): --vertices --edges --timestamps --seed
 // --unique (distinct queries) --repeat (stream repetitions) --reps
-// (best-of) --threads=N (adds one thread count) --algo=enum|enumbase --out.
+// (best-of) --threads=N (adds one thread count) --out.
 // --smoke / TKC_BENCH_SMOKE=1 shrinks everything to CI scale.
 
 #include <algorithm>
@@ -72,11 +73,8 @@ int main(int argc, char** argv) {
   const uint32_t repeat =
       static_cast<uint32_t>(flags.GetInt("repeat", smoke ? 2 : 3));
   const int reps = static_cast<int>(flags.GetInt("reps", smoke ? 1 : 3));
-  const std::string algo = flags.GetString("algo", "enum");
   const std::string out_path =
       flags.GetString("out", "BENCH_serve_throughput.json");
-  const AlgorithmKind kind =
-      algo == "enumbase" ? AlgorithmKind::kEnumBase : AlgorithmKind::kEnum;
 
   // Bursty synthetic graph (same generator family as the registry
   // datasets): bursts concentrate edges in time, so query windows actually
@@ -121,7 +119,7 @@ int main(int argc, char** argv) {
   std::vector<RunOutcome> reference;
   reference.reserve(uniques.size());
   for (const Query& q : uniques) {
-    reference.push_back(RunAlgorithm(kind, g, q));
+    reference.push_back(RunAlgorithm(AlgorithmKind::kEnum, g, q));
     if (!reference.back().status.ok()) {
       std::fprintf(stderr, "reference run failed: %s\n",
                    reference.back().status.ToString().c_str());
@@ -131,9 +129,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "=== Serve throughput: %u vertices, %u edges, %u timestamps, kmax=%u; "
-      "%zu unique queries x%u batches (stream of %zu), %s, best of %d ===\n",
+      "%zu unique queries x%u batches (stream of %zu), best of %d ===\n",
       vertices, edges, timestamps, stats.kmax, uniques.size(), repeat,
-      stream_size, AlgorithmName(kind), reps);
+      stream_size, reps);
 
   // Thread sweep: the issue's 1/2/8 plus any --threads value.
   std::vector<int> thread_counts = {1, 2, 8};
@@ -158,7 +156,6 @@ int main(int argc, char** argv) {
   for (int threads : thread_counts) {
     ThreadPool pool(threads);
     QueryEngineOptions options;
-    options.algorithm = kind;
     options.pool = &pool;
     options.cache_capacity = 2 * stream_size;
     options.build_index = true;
@@ -230,7 +227,7 @@ int main(int argc, char** argv) {
       records.BeginRecord();
       records.Add("bench", std::string("serve_throughput"));
       records.Add("mode", std::string(mode == 0 ? "mixed" : "warm"));
-      records.Add("algo", std::string(AlgorithmName(kind)));
+      records.Add("algo", std::string("Enum"));
       records.Add("vertices", static_cast<uint64_t>(vertices));
       records.Add("edges", static_cast<uint64_t>(edges));
       records.Add("timestamps", static_cast<uint64_t>(timestamps));

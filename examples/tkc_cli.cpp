@@ -1,9 +1,9 @@
 // tkc_cli — command-line front end for time-range temporal k-core queries
-// on SNAP-format files or the built-in synthetic datasets. Since PR 2 the
-// CLI serves through the QueryEngine (serve/query_engine.h): queries are
+// on SNAP-format files or the built-in synthetic datasets. The CLI serves
+// --algo=enum through the QueryEngine (serve/query_engine.h): queries are
 // batched, sharded over a thread pool, admission-checked against the PHC
 // index, and memoized in the engine's LRU — the same path a long-lived
-// server would use.
+// server would use. The other algorithms run as one-shot batches.
 //
 //   tkc_cli --dataset=CM --k-frac=0.3 --range-frac=0.1 --algo=enum
 //   tkc_cli --file=CollegeMsg.txt --k=5 --ts=1 --te=5000 --algo=otcd
@@ -15,6 +15,11 @@
 //   --ts=A --te=B               compacted time range (default: derived)
 //   --range-frac=F              range as a fraction of tmax (default 0.1)
 //   --algo=enum|enumbase|otcd|naive                    (default enum)
+//                               enum serves through the engine; the others
+//                               run the batch through RunAlgorithmOnQueries
+//                               over the same pool (no cache, no index)
+//                               and are a usage error with --serve,
+//                               --updates or --connect
 //   --queries=N                 batch size (default 1; >1 draws a workload)
 //   --repeat=R                  serve the batch R times  (default 1)
 //   --threads=N                 engine pool size (default TKC_NUM_THREADS /
@@ -42,8 +47,8 @@
 //                               protocol (net/server.h) on PORT (0 picks an
 //                               ephemeral port, printed at startup) until
 //                               stdin closes / Enter is pressed. Engine
-//                               flags (--threads --cache --index --algo
-//                               --limit) apply as usual.
+//                               flags (--threads --cache --index --limit)
+//                               apply as usual.
 //   --connect=HOST:PORT         network client mode: connects a TkcClient,
 //                               sends the query batch --repeat times, and
 //                               prints per-round verdict summaries with the
@@ -339,6 +344,87 @@ int RunConnect(const std::string& target,
   return failures == 0 ? 0 : 1;
 }
 
+// The default mode: serves the batch --repeat times through a QueryEngine
+// and prints the totals and the engine's counters. Returns the process
+// exit code.
+int ServeLocally(const tkc::TemporalGraph& graph,
+                 const std::vector<tkc::Query>& queries,
+                 const tkc::QueryEngineOptions& options, int repeat) {
+  using namespace tkc;
+  auto engine = QueryEngine::Create(graph, options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+    return 1;
+  }
+
+  WallTimer timer;
+  std::vector<RunOutcome> outcomes;
+  for (int r = 0; r < repeat; ++r) {
+    outcomes = engine->ServeBatch(queries);
+  }
+  const double seconds = timer.ElapsedSeconds();
+
+  uint64_t cores = 0, result_edges = 0;
+  bool all_ok = true;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const RunOutcome& out = outcomes[i];
+    if (!out.status.ok()) {
+      std::fprintf(stderr, "query %zu: %s\n", i,
+                   out.status.ToString().c_str());
+      all_ok = false;
+      continue;
+    }
+    cores += out.num_cores;
+    result_edges += out.result_size_edges;
+  }
+  ServeStats serve_stats = engine->stats();
+  std::printf(
+      "enum x%d over %d thread(s): %llu distinct temporal cores, |R|=%llu "
+      "edges, %.4fs total (%.1f q/s)\n",
+      repeat, engine->num_threads(), static_cast<unsigned long long>(cores),
+      static_cast<unsigned long long>(result_edges), seconds,
+      seconds > 0 ? static_cast<double>(serve_stats.queries_served) / seconds
+                  : 0.0);
+  std::printf(
+      "engine: served=%llu executed=%llu cache_hits=%llu dedup_hits=%llu "
+      "index_rejections=%llu\n",
+      static_cast<unsigned long long>(serve_stats.queries_served),
+      static_cast<unsigned long long>(serve_stats.executed),
+      static_cast<unsigned long long>(serve_stats.cache_hits),
+      static_cast<unsigned long long>(serve_stats.batch_dedup_hits),
+      static_cast<unsigned long long>(serve_stats.index_rejections));
+  return all_ok ? 0 : 1;
+}
+
+// --algo=enumbase|otcd|naive: the batch runs --repeat times through
+// RunAlgorithmOnQueries over `pool`, every query in full (no cache, no
+// index). Returns the process exit code.
+int RunOneShot(tkc::AlgorithmKind kind, const tkc::TemporalGraph& graph,
+               const std::vector<tkc::Query>& queries, double limit_seconds,
+               tkc::ThreadPool* pool, int repeat) {
+  using namespace tkc;
+  WallTimer timer;
+  AggregateOutcome agg;
+  for (int r = 0; r < repeat && agg.completed; ++r) {
+    agg = RunAlgorithmOnQueries(kind, graph, queries, limit_seconds, pool);
+  }
+  const double seconds = timer.ElapsedSeconds();
+  if (!agg.completed) {
+    std::fprintf(stderr, "%s: %s\n", AlgorithmName(kind),
+                 agg.first_error.ToString().c_str());
+    return 1;
+  }
+  std::printf(
+      "%s x%d over %d thread(s): %.1f cores and |R|=%.1f edges per query, "
+      "%.4fs total (%.1f q/s)\n",
+      AlgorithmName(kind), repeat, pool->num_threads(),
+      agg.avg_num_cores, agg.avg_result_size_edges, seconds,
+      seconds > 0 ? static_cast<double>(repeat) *
+                        static_cast<double>(queries.size()) / seconds
+                  : 0.0);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -349,6 +435,35 @@ int main(int argc, char** argv) {
     return 2;
   }
   const Flags& flags = *flags_or;
+
+  // --- Algorithm. ---------------------------------------------------------
+  // The engine serves Enum only (a served miss counts AS-Output's cores
+  // instead of walking them); the other algorithms run one-shot batches.
+  const std::string algo = flags.GetString("algo", "enum");
+  AlgorithmKind kind;
+  if (algo == "enum") {
+    kind = AlgorithmKind::kEnum;
+  } else if (algo == "enumbase") {
+    kind = AlgorithmKind::kEnumBase;
+  } else if (algo == "otcd") {
+    kind = AlgorithmKind::kOtcd;
+  } else if (algo == "naive") {
+    kind = AlgorithmKind::kNaive;
+  } else {
+    std::fprintf(stderr,
+                 "--algo: unknown algorithm '%s' (expected "
+                 "enum|enumbase|otcd|naive)\n",
+                 algo.c_str());
+    return 2;
+  }
+  if (kind != AlgorithmKind::kEnum &&
+      (flags.Has("serve") || flags.Has("updates") || flags.Has("connect"))) {
+    std::fprintf(stderr,
+                 "--algo=%s: --serve, --updates and --connect serve enum "
+                 "only\n",
+                 algo.c_str());
+    return 2;
+  }
 
   // --- Input graph. -----------------------------------------------------
   TemporalGraph graph;
@@ -407,17 +522,11 @@ int main(int argc, char** argv) {
               queries[0].range.end);
 
   // --- Serving engine. ----------------------------------------------------
-  std::string algo = flags.GetString("algo", "enum");
-  AlgorithmKind kind = algo == "otcd"       ? AlgorithmKind::kOtcd
-                       : algo == "enumbase" ? AlgorithmKind::kEnumBase
-                       : algo == "naive"    ? AlgorithmKind::kNaive
-                                            : AlgorithmKind::kEnum;
   const int threads = static_cast<int>(
       std::clamp<int64_t>(flags.GetInt("threads", DefaultNumThreads()), 1,
                           1024));
   ThreadPool pool(threads);
   QueryEngineOptions options;
-  options.algorithm = kind;
   options.pool = &pool;
   options.cache_capacity = static_cast<size_t>(
       std::clamp<int64_t>(flags.GetInt("cache", 1024), 0, 1 << 24));
@@ -447,50 +556,12 @@ int main(int argc, char** argv) {
     return RunLiveReplay(std::move(graph), queries, events, options, repeat);
   }
 
-  auto engine = QueryEngine::Create(graph, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-
-  WallTimer timer;
-  std::vector<RunOutcome> outcomes;
-  for (int r = 0; r < repeat; ++r) {
-    outcomes = engine->ServeBatch(queries);
-  }
-  const double seconds = timer.ElapsedSeconds();
-
-  uint64_t cores = 0, result_edges = 0;
-  bool all_ok = true;
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const RunOutcome& out = outcomes[i];
-    if (!out.status.ok()) {
-      std::fprintf(stderr, "query %zu: %s\n", i,
-                   out.status.ToString().c_str());
-      all_ok = false;
-      continue;
-    }
-    cores += out.num_cores;
-    result_edges += out.result_size_edges;
-  }
-  ServeStats serve_stats = engine->stats();
-  std::printf(
-      "%s x%d over %d thread(s): %llu distinct temporal cores, |R|=%llu "
-      "edges, %.4fs total (%.1f q/s)\n",
-      algo.c_str(), repeat, engine->num_threads(),
-      static_cast<unsigned long long>(cores),
-      static_cast<unsigned long long>(result_edges), seconds,
-      seconds > 0 ? static_cast<double>(serve_stats.queries_served) / seconds
-                  : 0.0);
-  std::printf(
-      "engine: served=%llu executed=%llu cache_hits=%llu dedup_hits=%llu "
-      "index_rejections=%llu\n",
-      static_cast<unsigned long long>(serve_stats.queries_served),
-      static_cast<unsigned long long>(serve_stats.executed),
-      static_cast<unsigned long long>(serve_stats.cache_hits),
-      static_cast<unsigned long long>(serve_stats.batch_dedup_hits),
-      static_cast<unsigned long long>(serve_stats.index_rejections));
-  if (!all_ok) return 1;
+  const int status =
+      kind == AlgorithmKind::kEnum
+          ? ServeLocally(graph, queries, options, repeat)
+          : RunOneShot(kind, graph, queries, options.per_query_limit_seconds,
+                       &pool, repeat);
+  if (status != 0) return status;
 
   // --- Optional core listing (detailed sink path, first query only). ------
   // The engine counts results without materializing them, so listing cores

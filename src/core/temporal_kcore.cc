@@ -43,6 +43,35 @@ VctBuildResult RunCoreTimePhase(const TemporalGraph& g, uint32_t k,
   return BuildVctAndEcs(g, k, range, arena);
 }
 
+Status CountTemporalKCores(const TemporalGraph& g, uint32_t k, Window range,
+                           const PhcIndex* index, VctBuildArena* arena,
+                           const Deadline& deadline, QueryStats* stats) {
+  TKC_RETURN_IF_ERROR(ValidateQueryInputs(g, k, range));
+  WallTimer total_timer;
+  VctBuildResult built = RunCoreTimePhase(g, k, range, index, arena);
+  const double coretime_seconds = total_timer.ElapsedSeconds();
+  if (deadline.Expired()) {
+    return Status::Timeout("deadline expired after the CoreTime phase");
+  }
+  WallTimer count_timer;
+  EnumStats count;
+  Status s = CountFromEcs(built.ecs, &count, deadline);
+  if (stats != nullptr) {
+    stats->coretime_seconds = coretime_seconds;
+    stats->enumeration_seconds = count_timer.ElapsedSeconds();
+    stats->total_seconds = total_timer.ElapsedSeconds();
+    stats->vct_size = built.vct.size();
+    stats->ecs_size = built.ecs.size();
+    stats->num_cores = count.num_cores;
+    stats->result_size_edges = count.result_size_edges;
+    stats->peak_memory_bytes =
+        std::max(built.peak_memory_bytes,
+                 built.vct.MemoryUsageBytes() + built.ecs.MemoryUsageBytes() +
+                     count.peak_memory_bytes);
+  }
+  return s;
+}
+
 Status RunTemporalKCoreQuery(const TemporalGraph& g, uint32_t k, Window range,
                              CoreSink* sink, const QueryOptions& options,
                              QueryStats* stats) {
@@ -67,7 +96,7 @@ Status RunTemporalKCoreQuery(const TemporalGraph& g, uint32_t k, Window range,
   WallTimer phase_timer;
   VctBuildResult built =
       options.vct_method == VctMethod::kEfficient
-          ? RunCoreTimePhase(g, k, range, options.index, options.arena)
+          ? BuildVctAndEcs(g, k, range, options.arena)
           : BuildVctAndEcsNaive(g, k, range);
   const double coretime_seconds = phase_timer.ElapsedSeconds();
   if (options.deadline.Expired()) {

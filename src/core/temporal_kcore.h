@@ -31,7 +31,8 @@
 /// Enum phase (Algorithm 5, O(|R|)). The baseline algorithms are available
 /// through QueryOptions for comparison; the OTCD baseline lives in
 /// otcd/otcd.h as an independent engine since it bypasses this framework
-/// entirely.
+/// entirely. CountTemporalKCores is the serving layer's pipeline: the same
+/// CoreTime phase, then Enum's counts without the cores (CountFromEcs).
 
 namespace tkc {
 
@@ -60,16 +61,11 @@ struct QueryOptions {
   /// Abort with Status::Timeout once expired (checked between phases and
   /// periodically inside the enumeration loops).
   Deadline deadline;
-  /// Optional scratch recycled across queries (vct_builder.h). Serving code
-  /// (serve/query_engine.h) hands each worker its own arena so the CoreTime
-  /// phase reuses its scratch; results never depend on reuse. Only read by
+  /// Optional scratch recycled across queries (vct_builder.h). RunAlgorithm
+  /// forwards its `arena` here, which perfbench's oracle uses to give each
+  /// worker its own; results never depend on reuse. Only read by
   /// VctMethod::kEfficient.
   VctBuildArena* arena = nullptr;
-  /// Optional PHC index over the same graph: the CoreTime phase reads its
-  /// slice k instead of building whenever it holds one (see
-  /// RunCoreTimePhase); results are bit-identical either way. Only read by
-  /// VctMethod::kEfficient.
-  const PhcIndex* index = nullptr;
 };
 
 /// Phase timings and sizes of one query run.
@@ -99,6 +95,15 @@ struct QueryStats {
 VctBuildResult RunCoreTimePhase(const TemporalGraph& g, uint32_t k,
                                 Window range, const PhcIndex* index,
                                 VctBuildArena* arena);
+
+/// The serving pipeline of one query: ValidateQueryInputs, the CoreTime
+/// phase (RunCoreTimePhase), a deadline check, then CountFromEcs in place
+/// of the Enum walk. Fills `stats` (optional) with RunTemporalKCoreQuery's
+/// fields for EnumMethod::kEnum — result fields bit-identical to it — and
+/// emits no core. Returns Timeout if `deadline` expires.
+[[nodiscard]] Status CountTemporalKCores(
+    const TemporalGraph& g, uint32_t k, Window range, const PhcIndex* index,
+    VctBuildArena* arena, const Deadline& deadline, QueryStats* stats);
 
 /// Runs the time-range k-core query. Validates inputs (k >= 1, range inside
 /// the graph's compacted time span) and streams results into `sink`.

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/temporal_kcore.h"
 #include "util/fault_injection.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -12,21 +13,6 @@
 namespace tkc {
 
 namespace {
-
-/// True iff the algorithm's hot path runs the efficient VCT builder and
-/// therefore profits from a recycled arena.
-bool UsesBuildArena(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::kCoreTime:
-    case AlgorithmKind::kEnumBase:
-    case AlgorithmKind::kEnum:
-      return true;
-    case AlgorithmKind::kOtcd:
-    case AlgorithmKind::kNaive:
-      return false;
-  }
-  return false;
-}
 
 /// True iff `slice` is exactly slice 1 of `g`'s full-range index. For k = 1,
 /// CT_ts(u) is u's first edge time >= ts, so u's rows are (1, t1),
@@ -98,8 +84,7 @@ struct QueryEngine::ArenaPool {
 // scratch forever.
 class QueryEngine::ArenaLease {
  public:
-  ArenaLease(QueryEngine* engine, bool wanted) : pool_(engine->arenas_.get()) {
-    if (!wanted) return;
+  explicit ArenaLease(QueryEngine* engine) : pool_(engine->arenas_.get()) {
     MutexLock lock(pool_->mu);
     if (!pool_->free_list.empty()) {
       arena_ = std::move(pool_->free_list.back());
@@ -110,7 +95,6 @@ class QueryEngine::ArenaLease {
   }
 
   ~ArenaLease() {
-    if (arena_ == nullptr) return;
     MutexLock lock(pool_->mu);
     pool_->free_list.push_back(std::move(arena_));
   }
@@ -261,9 +245,18 @@ RunOutcome QueryEngine::ExecuteUncached(const Query& query,
           ? Deadline::Earlier(Deadline::AfterSeconds(limit_seconds),
                               batch_deadline)
           : batch_deadline;
-  ArenaLease lease(this, UsesBuildArena(options_.algorithm));
-  out = RunAlgorithm(options_.algorithm, *graph_, query, deadline,
-                     lease.get(), index());
+  ArenaLease lease(this);
+  WallTimer timer;
+  QueryStats stats;
+  out.status = CountTemporalKCores(*graph_, query.k, query.range, index(),
+                                   lease.get(), deadline, &stats);
+  out.seconds = timer.ElapsedSeconds();
+  out.coretime_seconds = stats.coretime_seconds;
+  out.num_cores = stats.num_cores;
+  out.result_size_edges = stats.result_size_edges;
+  out.vct_size = stats.vct_size;
+  out.ecs_size = stats.ecs_size;
+  out.peak_memory_bytes = stats.peak_memory_bytes;
   Bump(stats_->queries_served);
   Bump(stats_->executed);
   if (out.status.ok()) cache_->Insert(query, out);

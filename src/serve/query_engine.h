@@ -21,9 +21,10 @@
 /// \file query_engine.h
 /// The batch query-serving engine: a long-lived object that owns one
 /// immutable temporal graph plus read-only serving state, accepts batches of
-/// time-range k-core queries, and fans them out over a ThreadPool. It turns
-/// the repo's per-call measurement harness (RunAlgorithm) into a server-
-/// shaped subsystem:
+/// time-range k-core queries, and fans them out over a ThreadPool. Every
+/// miss runs one pipeline, CountTemporalKCores (core/temporal_kcore.h): the
+/// CoreTime phase, then the paper's Enum counted instead of walked, since a
+/// served outcome carries counts only.
 ///
 ///  * **Two schedulers, one pipeline.** ServeBatch runs a batch on the
 ///    calling thread, sharding its distinct misses over the pool with the
@@ -45,7 +46,7 @@
 ///    VctBuildArena out of an internal free list (growing only to the peak
 ///    concurrency ever observed), so the CoreTime phase reuses its scratch
 ///    vectors. Every execution still allocates its own VCT/ECS arrays
-///    (FromEmissions) and the enumeration's lists.
+///    (FromEmissions) and the count's buckets and segment tree.
 ///  * **Admission index.** At construction the engine can build the full
 ///    PHC index (every k-slice, each with its core-emergence table; see
 ///    vct/phc_index.h) over the graph's time span. A query whose range
@@ -54,8 +55,8 @@
 ///    exact empty outcome the full pipeline would produce — no build, no
 ///    allocation. The same index answers every admitted miss: the CoreTime
 ///    phase reads slice k over the query range (RunCoreTimePhase) instead
-///    of running the fixpoint builder, leaving the ECS pass and the
-///    enumeration. Engines without an index build per miss.
+///    of running the fixpoint builder, so a miss is slice read -> ECS ->
+///    count (CountFromEcs). Engines without an index build per miss.
 ///  * **Memoization.** Completed outcomes are stored in a bounded LRU
 ///    (serve/query_cache.h) keyed by (k, range), so repeated-query
 ///    workloads are served at lookup cost; admission rejections are stored
@@ -77,12 +78,12 @@
 ///
 /// Determinism contract: the *result* fields of a served outcome (status
 /// code, num_cores, result_size_edges, vct_size, ecs_size) are bit-identical
-/// to a serial RunAlgorithm call at any thread count, batch split, cache
-/// state, or admission path. The *execution* fields (seconds,
-/// coretime_seconds, peak_memory_bytes) describe how this engine produced
-/// the answer — a cache hit reports the lookup-time outcome of the original
-/// run, an admission rejection reports ~0 cost — and are not comparable
-/// across paths.
+/// to a serial RunAlgorithm(kEnum) call — the Enum walk — at any thread
+/// count, batch split, cache state, or admission path. The *execution*
+/// fields (seconds, coretime_seconds, peak_memory_bytes) describe how this
+/// engine produced the answer — a cache hit reports the lookup-time
+/// outcome of the original run, an admission rejection reports ~0 cost —
+/// and are not comparable across paths.
 
 namespace tkc {
 
@@ -90,9 +91,6 @@ struct VctBuildArena;  // vct/vct_builder.h
 
 /// Construction-time configuration of a QueryEngine.
 struct QueryEngineOptions {
-  /// Algorithm every query is served with (the paper's Enum by default).
-  AlgorithmKind algorithm = AlgorithmKind::kEnum;
-
   /// Pool the batches shard over; nullptr uses ThreadPool::Shared(). A
   /// 1-thread pool serves batches serially on the calling thread.
   ThreadPool* pool = nullptr;
@@ -239,7 +237,7 @@ struct ServeStats {
   uint64_t cache_evictions = 0;
   uint64_t index_rejections = 0;  ///< answered empty from the admission index
   uint64_t batch_dedup_hits = 0;  ///< served as in-batch duplicates
-  uint64_t executed = 0;          ///< ran the full algorithm
+  uint64_t executed = 0;          ///< ran the miss pipeline
   uint64_t async_batches = 0;     ///< batches that arrived via Submit
   /// Batches shed with ResourceExhausted by the full-queue eviction contest
   /// (the evicted queued batch or the rejected incoming one, one per event).
@@ -337,7 +335,6 @@ class QueryEngine {
   /// an index or for a range outside the graph's span.
   bool MayContainCore(uint32_t k, Window range) const;
 
-  AlgorithmKind algorithm() const { return options_.algorithm; }
   int num_threads() const { return pool_->num_threads(); }
 
  private:
@@ -352,7 +349,7 @@ class QueryEngine {
 
   [[nodiscard]] Status BuildAdmissionIndex();
 
-  /// The post-cache-miss path: admission check, algorithm execution (its
+  /// The post-cache-miss path: admission check, CountTemporalKCores (its
   /// CoreTime phase reads the admission index when that holds slice k),
   /// cache insert, counter updates. `batch_deadline` caps the execution
   /// together with options.per_query_limit_seconds (whichever is earlier);

@@ -191,8 +191,8 @@ class GraphSnapshot {
 
 /// Configuration of a LiveQueryEngine.
 struct LiveEngineOptions {
-  /// Per-snapshot engine configuration (algorithm, pool, cache, admission
-  /// index, async queue bound). Applied to every rebuilt snapshot.
+  /// Per-snapshot engine configuration (pool, cache, admission index,
+  /// async queue bound). Applied to every rebuilt snapshot.
   QueryEngineOptions engine;
 
   /// Pool the updater's graph+index rebuilds fan out over. Deliberately

@@ -7,6 +7,7 @@
 #include "graph/window_peeler.h"
 #include "otcd/otcd.h"
 #include "util/rng.h"
+#include "vct/vct_builder.h"
 
 namespace tkc {
 
@@ -74,7 +75,7 @@ const char* AlgorithmName(AlgorithmKind kind) {
 
 RunOutcome RunAlgorithm(AlgorithmKind kind, const TemporalGraph& g,
                         const Query& query, const Deadline& deadline,
-                        VctBuildArena* arena, const PhcIndex* index) {
+                        VctBuildArena* arena) {
   RunOutcome out;
   WallTimer timer;
   switch (kind) {
@@ -92,11 +93,10 @@ RunOutcome RunAlgorithm(AlgorithmKind kind, const TemporalGraph& g,
     case AlgorithmKind::kCoreTime: {
       // Same input contract as RunTemporalKCoreQuery: the builder CHECKs
       // these invariants, so turn bad queries into errors rather than traps
-      // (the serving layer feeds arbitrary client queries through here).
+      // (tkc_cli feeds arbitrary user queries through here).
       out.status = ValidateQueryInputs(g, query.k, query.range);
       if (!out.status.ok()) break;
-      VctBuildResult built =
-          RunCoreTimePhase(g, query.k, query.range, index, arena);
+      VctBuildResult built = BuildVctAndEcs(g, query.k, query.range, arena);
       out.status = Status::OK();
       out.vct_size = built.vct.size();
       out.ecs_size = built.ecs.size();
@@ -115,7 +115,6 @@ RunOutcome RunAlgorithm(AlgorithmKind kind, const TemporalGraph& g,
                                 : EnumMethod::kNaive;
       options.deadline = deadline;
       options.arena = arena;
-      options.index = index;
       QueryStats stats;
       out.status =
           RunTemporalKCoreQuery(g, query.k, query.range, &sink, options,

@@ -21,7 +21,6 @@
 
 namespace tkc {
 
-class PhcIndex;        // vct/phc_index.h
 struct VctBuildArena;  // vct/vct_builder.h
 
 /// One time-range k-core query.
@@ -84,14 +83,10 @@ struct RunOutcome {
 /// Runs `kind` on one query, counting results (no materialization).
 /// `arena` (vct_builder.h, optional) recycles the CoreTime phase's scratch
 /// across calls for the VCT-pipeline algorithms; results never depend on it.
-/// `index` (optional, built over `g`) lets those algorithms' CoreTime phase
-/// read slice k instead of building it (RunCoreTimePhase); the result
-/// fields are bit-identical either way.
 RunOutcome RunAlgorithm(AlgorithmKind kind, const TemporalGraph& g,
                         const Query& query,
                         const Deadline& deadline = Deadline(),
-                        VctBuildArena* arena = nullptr,
-                        const PhcIndex* index = nullptr);
+                        VctBuildArena* arena = nullptr);
 
 /// Averages outcomes over a query batch; a Timeout/error on any query marks
 /// the aggregate as failed (the paper reports these as "did not finish").

@@ -181,7 +181,6 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   // --- Engine under test, with seed-varied serving options. -------------
   ThreadPool pool(config.threads);
   LiveEngineOptions options;
-  options.engine.algorithm = AlgorithmKind::kEnum;
   options.engine.pool = &pool;
   options.engine.build_index = rng.NextBool(0.5);
   options.engine.cache_capacity = rng.NextBool(0.25) ? 0 : 64;

@@ -2,7 +2,8 @@
 // through its corner cases: equal end-time groups, windows activating
 // without any window starting (Ba nonempty, Bs empty), inserts at the list
 // head vs tail, and single-window skylines. Each case states the expected
-// cores explicitly.
+// cores explicitly, and every case also pins CountFromEcs to the cores
+// Enum emitted.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,13 @@ EdgeCoreWindowSkyline MakeEcs(EdgeId n, Window range,
 std::vector<CoreResult> RunEnum(const EdgeCoreWindowSkyline& ecs) {
   CollectingSink sink;
   EXPECT_TRUE(EnumerateFromEcs(ecs, &sink).ok());
+  uint64_t result_edges = 0;
+  for (const CoreResult& core : sink.cores()) result_edges += core.edges.size();
+  EnumStats count;
+  EXPECT_TRUE(CountFromEcs(ecs, &count).ok());
+  EXPECT_EQ(count.num_cores, sink.cores().size());
+  EXPECT_EQ(count.result_size_edges, result_edges);
+  EXPECT_EQ(count.windows, ecs.size());
   sink.SortCanonically();
   return sink.cores();
 }
@@ -75,6 +83,20 @@ TEST(EnumListEdgeCasesTest, ValidFlagSuppressesEarlierEnds) {
   EXPECT_EQ(cores[1].edges, (std::vector<EdgeId>{0, 1}));
   EXPECT_EQ(cores[2].tti, (Window{4, 5}));
   EXPECT_EQ(cores[2].edges, (std::vector<EdgeId>{1}));
+}
+
+TEST(EnumListEdgeCasesTest, EarlierEndOfALaterStartIsNotEmittedAlone) {
+  // e0 [3,3] and e1 [2,5]: at ts=2 the list holds [3,3] ahead of [2,5],
+  // but no window starting at 2 ends by 3, so the one core starting at 2
+  // is [2,5] with both edges; [3,3] is a core of its own at ts=3.
+  auto ecs =
+      MakeEcs(2, Window{1, 5}, {{0, Window{3, 3}}, {1, Window{2, 5}}});
+  auto cores = RunEnum(ecs);
+  ASSERT_EQ(cores.size(), 2u);
+  EXPECT_EQ(cores[0].tti, (Window{2, 5}));
+  EXPECT_EQ(cores[0].edges, (std::vector<EdgeId>{0, 1}));
+  EXPECT_EQ(cores[1].tti, (Window{3, 3}));
+  EXPECT_EQ(cores[1].edges, (std::vector<EdgeId>{0}));
 }
 
 TEST(EnumListEdgeCasesTest, WindowNotStartingAtScanStartIsNotATti) {
@@ -140,6 +162,13 @@ TEST(EnumListEdgeCasesTest, StatsCountListOperations) {
   EXPECT_EQ(stats.list_deletions, 3u);
   EXPECT_EQ(stats.num_cores, 6u);
   EXPECT_EQ(stats.result_size_edges, 1u + 2 + 3 + 1 + 2 + 1);
+  // The count reports the same totals and keeps no list.
+  EnumStats count;
+  ASSERT_TRUE(CountFromEcs(ecs, &count).ok());
+  EXPECT_EQ(count.num_cores, stats.num_cores);
+  EXPECT_EQ(count.result_size_edges, stats.result_size_edges);
+  EXPECT_EQ(count.list_insertions, 0u);
+  EXPECT_EQ(count.list_deletions, 0u);
 }
 
 }  // namespace

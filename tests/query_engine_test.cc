@@ -62,11 +62,9 @@ void ExpectSameResults(const RunOutcome& serial, const RunOutcome& served,
   EXPECT_EQ(serial.ecs_size, served.ecs_size) << context;
 }
 
-class QueryEngineBitIdenticalTest
-    : public ::testing::TestWithParam<AlgorithmKind> {};
-
-TEST_P(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
-  const AlgorithmKind kind = GetParam();
+// The engine counts its misses (CountTemporalKCores); the reference walks
+// them with the paper's Enum.
+TEST(QueryEngineBitIdenticalTest, MatchesSerialEnumAt1And2And8Threads) {
   TemporalGraph g = ServeGraph();
   GraphStats stats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, stats.kmax);
@@ -74,13 +72,12 @@ TEST_P(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
   std::vector<RunOutcome> reference;
   reference.reserve(queries.size());
   for (const Query& q : queries) {
-    reference.push_back(RunAlgorithm(kind, g, q));
+    reference.push_back(RunAlgorithm(AlgorithmKind::kEnum, g, q));
   }
 
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     QueryEngineOptions options;
-    options.algorithm = kind;
     options.pool = &pool;
     options.build_index = true;  // exercise the admission fast path too
     auto engine = QueryEngine::Create(g, options);
@@ -88,8 +85,7 @@ TEST_P(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
     std::vector<RunOutcome> served = engine->ServeBatch(queries);
     ASSERT_EQ(served.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      std::string context = std::string(AlgorithmName(kind)) + " threads=" +
-                            std::to_string(threads) + " query#" +
+      std::string context = "threads=" + std::to_string(threads) + " query#" +
                             std::to_string(i);
       ExpectSameResults(reference[i], served[i], context.c_str());
     }
@@ -101,15 +97,6 @@ TEST_P(QueryEngineBitIdenticalTest, MatchesSerialRunnerAt1And2And8Threads) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, QueryEngineBitIdenticalTest,
-                         ::testing::Values(AlgorithmKind::kEnum,
-                                           AlgorithmKind::kEnumBase,
-                                           AlgorithmKind::kCoreTime,
-                                           AlgorithmKind::kOtcd),
-                         [](const auto& info) {
-                           return AlgorithmName(info.param);
-                         });
 
 TEST(QueryEngineAdmissionTest, EmergenceTableMatchesPeelingOracle) {
   TemporalGraph g = ServeGraph();
@@ -433,7 +420,6 @@ TEST(QueryEngineAsyncTest, DestructorDrainsInFlightBatches) {
 TEST(QueryEngineDeadlineTest, ExpiredDeadlineTimesOutWithoutTouchingIndex) {
   TemporalGraph g = ServeGraph();
   QueryEngineOptions options;
-  options.algorithm = AlgorithmKind::kCoreTime;
   options.build_index = true;
   auto engine = QueryEngine::Create(g, options);
   ASSERT_TRUE(engine.ok());
@@ -441,7 +427,7 @@ TEST(QueryEngineDeadlineTest, ExpiredDeadlineTimesOutWithoutTouchingIndex) {
   const Deadline expired = Deadline::AfterSeconds(-1.0);
 
   // Cache-miss path: nothing is cached yet, and the rejection must not
-  // consult the cache, the admission index, or the algorithm.
+  // consult the cache, the admission index, or the miss pipeline.
   RunOutcome out = engine->ServeBatch({query}, expired)[0];
   EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
   ServeStats stats = engine->stats();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/generators.h"
+#include "vct/phc_index.h"
 
 namespace tkc {
 namespace {
@@ -109,6 +110,42 @@ TEST(TemporalKCoreApiTest, SingleTimestampRange) {
   CountingSink sink;
   ASSERT_TRUE(RunTemporalKCoreQuery(g, 2, Window{5, 5}, &sink).ok());
   EXPECT_EQ(sink.num_cores(), 1u);  // the {v1,v6,v7} triangle at t=5
+}
+
+TEST(TemporalKCoreApiTest, CountMatchesEnumWithAndWithoutIndex) {
+  TemporalGraph g = GenerateUniformRandom(15, 100, 12, 3);
+  auto index = PhcIndex::Build(g, g.FullRange());
+  ASSERT_TRUE(index.ok());
+  for (const Window& range : {g.FullRange(), Window{3, 9}}) {
+    CountingSink sink;
+    QueryStats walked;
+    ASSERT_TRUE(RunTemporalKCoreQuery(g, 2, range, &sink, {}, &walked).ok());
+    const PhcIndex* sources[] = {nullptr, &*index};
+    for (const PhcIndex* source : sources) {
+      QueryStats counted;
+      const Status s =
+          CountTemporalKCores(g, 2, range, source, nullptr, {}, &counted);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(counted.num_cores, walked.num_cores);
+      EXPECT_EQ(counted.result_size_edges, walked.result_size_edges);
+      EXPECT_EQ(counted.vct_size, walked.vct_size);
+      EXPECT_EQ(counted.ecs_size, walked.ecs_size);
+      EXPECT_GT(counted.peak_memory_bytes, 0u);
+    }
+  }
+}
+
+TEST(TemporalKCoreApiTest, CountValidatesAndTimesOut) {
+  TemporalGraph g = GenerateUniformRandom(25, 300, 40, 9);
+  const Window full = g.FullRange();
+  const Deadline expired = Deadline::AfterSeconds(-1.0);
+  QueryStats stats;
+  Status s = CountTemporalKCores(g, 0, full, nullptr, nullptr, {}, &stats);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  s = CountTemporalKCores(g, 2, Window{4, 2}, nullptr, nullptr, {}, &stats);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  s = CountTemporalKCores(g, 2, full, nullptr, nullptr, expired, &stats);
+  EXPECT_EQ(s.code(), StatusCode::kTimeout);
 }
 
 }  // namespace
