@@ -1,4 +1,4 @@
-// Ablation study for the design choices DESIGN.md calls out, at the
+// Ablation study for three of the library's design choices, at the
 // figure level (dataset workloads rather than microbenchmarks):
 //
 //   A1. CoreTime builder: worklist-fixpoint advance (O(|VCT|*deg_avg)) vs

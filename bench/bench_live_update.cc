@@ -486,7 +486,7 @@ int main(int argc, char** argv) {
       // --- overload: open-loop deadline'd submissions, tiny queue. ------
       if (threads >= 2) {
         LiveEngineOptions overload_options = options;
-        overload_options.engine.async_queue_capacity = 2;
+        overload_options.async_queue_capacity = 2;
         auto live = LiveQueryEngine::Create(base, overload_options);
         if (!live.ok()) return 1;
         const uint32_t submissions = rounds * 4;

@@ -3,7 +3,7 @@
 // VCT/ECS builder, the Enum linked-list enumeration, the segment-tree count
 // that serves misses, and the baselines.
 // These quantify the per-phase costs behind the figure-level results and
-// serve as ablations for DESIGN.md's design choices (fixpoint advance vs
+// serve as ablations for the library's design choices (fixpoint advance vs
 // per-start sweeps; Enum vs EnumBase given identical skylines).
 
 #include <benchmark/benchmark.h>

@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
   {
     LiveEngineOptions engine_options;
     engine_options.engine.pool = &pool;
-    engine_options.engine.async_queue_capacity = 2;
+    engine_options.async_queue_capacity = 2;
     auto live = LiveQueryEngine::Create(g, engine_options);
     if (!live.ok()) {
       std::fprintf(stderr, "engine: %s\n", live.status().ToString().c_str());

@@ -1,6 +1,7 @@
 // Reproduces Table III: statistics of the fourteen benchmark datasets.
-// Ours are synthetic stand-ins (DESIGN.md §3), so absolute sizes are ~100x
-// smaller than the paper's; the |E|/|V| and tmax/|E| regimes match.
+// Ours are synthetic stand-ins generated by src/datasets/registry.cc, so
+// absolute sizes are ~100x smaller than the paper's; the |E|/|V| and
+// tmax/|E| regimes match.
 
 #include <cstdio>
 

@@ -8,8 +8,8 @@ namespace tkc {
 namespace {
 
 // One row of the scaled-down Table III. Vertex / edge / timestamp counts are
-// ~1/100 of the paper's (Table III in DESIGN.md §3); pa_alpha is tuned per
-// density regime so kmax lands in the tens like the originals.
+// ~1/100 of the paper's Table III; pa_alpha is tuned per density regime so
+// kmax lands in the tens like the originals.
 struct RegistryRow {
   const char* name;
   uint32_t vertices;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/temporal_kcore.h"
-#include "util/fault_injection.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "vct/vct_builder.h"
@@ -106,38 +105,6 @@ class QueryEngine::ArenaLease {
   std::unique_ptr<VctBuildArena> arena_;
 };
 
-/// One queued async submission: the request and its exactly-once
-/// completion. The completion may pin the engine's owner (the live layer's
-/// snapshot), so it is destroyed only after the batch's drain ticket is
-/// released.
-struct QueryEngine::AsyncBatch {
-  BatchRequest request;
-  Completion done;
-};
-
-/// Shared in-flight state of one dispatched batch: leader tasks write
-/// disjoint outcome slots and the last to finish finalizes.
-struct QueryEngine::AsyncBatchState {
-  AsyncBatch batch;
-  std::vector<RunOutcome> outcomes;
-  BatchPlan plan;
-  std::atomic<size_t> remaining{0};
-};
-
-/// Request queue + dispatcher occupancy + drain bookkeeping. `inflight`
-/// counts accepted-but-unfinished batches plus a ticket for the running
-/// dispatcher task, so DrainAsync returning guarantees no task still
-/// touches the engine.
-struct QueryEngine::AsyncState {
-  explicit AsyncState(size_t capacity) : queue(capacity) {}
-
-  BoundedMpscQueue<AsyncBatch> queue;
-  std::atomic<bool> dispatcher_scheduled{false};
-  Mutex mu;
-  CondVar drained;
-  uint64_t inflight TKC_GUARDED_BY(mu) = 0;
-};
-
 QueryEngine::QueryEngine(const TemporalGraph& g,
                          const QueryEngineOptions& options)
     : graph_(&g),
@@ -145,13 +112,9 @@ QueryEngine::QueryEngine(const TemporalGraph& g,
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
       cache_(std::make_unique<StripedQueryCache>(options.cache_capacity)),
       arenas_(std::make_unique<ArenaPool>()),
-      stats_(std::make_unique<AtomicServeStats>()),
-      async_(std::make_unique<AsyncState>(options.async_queue_capacity)) {}
+      stats_(std::make_unique<AtomicServeStats>()) {}
 
-QueryEngine::~QueryEngine() {
-  // A moved-from or inert (StatusOr slot) engine has no async state.
-  if (async_ != nullptr) DrainAsync();
-}
+QueryEngine::~QueryEngine() = default;
 QueryEngine::QueryEngine(QueryEngine&&) noexcept = default;
 QueryEngine& QueryEngine::operator=(QueryEngine&&) noexcept = default;
 
@@ -195,8 +158,7 @@ Status QueryEngine::BuildAdmissionIndex() {
     return Status::OK();
   }
   PhcBuildOptions build;
-  build.pool =
-      options_.index_build_pool != nullptr ? options_.index_build_pool : pool_;
+  build.pool = pool_;
   auto index = PhcIndex::Build(*graph_, graph_->FullRange(), build);
   if (!index.ok()) return index.status();
   index_ = std::move(index).value();
@@ -341,199 +303,9 @@ void QueryEngine::FanOutFollowers(const BatchPlan& plan,
   }
 }
 
-// --- async submission ------------------------------------------------------
-
-std::future<BatchResult> QueryEngine::SubmitAsync(std::vector<Query> queries,
-                                                  const Deadline& deadline) {
-  auto promise = std::make_shared<std::promise<BatchResult>>();
-  std::future<BatchResult> future = promise->get_future();
-  Submit(BatchRequest{std::move(queries), deadline},
-         [promise](BatchResult&& result) {
-           promise->set_value(std::move(result));
-         });
-  return future;
-}
-
-void QueryEngine::SetLifetimeGuard(std::weak_ptr<const void> guard) {
-  lifetime_guard_ = std::move(guard);
-}
-
-void QueryEngine::CompleteAsyncBatch(AsyncBatch&& batch,
-                                     const Status& status) {
-  BatchResult result;
-  result.outcomes.resize(batch.request.queries.size());
-  for (RunOutcome& out : result.outcomes) out.status = status;
-  batch.done(std::move(result));
-  FinishInflight();
-}
-
-void QueryEngine::Submit(BatchRequest request, Completion done) {
-  const Deadline deadline = request.deadline;
-  AsyncBatch batch{std::move(request), std::move(done)};
-  {
-    AsyncState* async = async_.get();
-    MutexLock lock(async->mu);
-    ++async->inflight;
-  }
-  Bump(stats_->async_batches);
-
-  if (deadline.unlimited()) {
-    // The queue never closes while the engine lives, so Push cannot fail;
-    // it blocks while the queue is at capacity (producer backpressure).
-    async_->queue.Push(std::move(batch));
-    ScheduleDispatcher();
-    return;
-  }
-
-  // Deadline-carrying submissions never block: an already-dead batch is
-  // answered right here, and a full queue runs the eviction contest — the
-  // batch with the least remaining deadline (queued or incoming) is shed
-  // with ResourceExhausted so the submitter returns in bounded time.
-  if (deadline.Expired()) {
-    Bump(stats_->deadlines_expired);
-    CompleteAsyncBatch(std::move(batch),
-                       Status::Timeout("deadline expired before submission"));
-    return;
-  }
-  AsyncBatch evicted;
-  const PushOutcome outcome = async_->queue.PushOrEvict(
-      &batch,
-      [](const AsyncBatch& a, const AsyncBatch& b) {
-        return a.request.deadline.ExpiresBefore(b.request.deadline);
-      },
-      &evicted);
-  switch (outcome) {
-    case PushOutcome::kPushed:
-      ScheduleDispatcher();
-      break;
-    case PushOutcome::kPushedEvicted: {
-      Bump(stats_->batches_shed);
-      CompleteAsyncBatch(std::move(evicted),
-                         Status::ResourceExhausted(
-                             "request queue full: evicted by a submission "
-                             "with more remaining deadline"));
-      ScheduleDispatcher();
-      break;
-    }
-    case PushOutcome::kRejectedIncoming: {
-      Bump(stats_->batches_shed);
-      CompleteAsyncBatch(std::move(batch),
-                         Status::ResourceExhausted(
-                             "request queue full: least remaining deadline"));
-      break;
-    }
-    case PushOutcome::kClosed:
-      CompleteAsyncBatch(std::move(batch),
-                         Status::FailedPrecondition("engine shutting down"));
-      break;
-  }
-}
-
-void QueryEngine::ScheduleDispatcher() {
-  if (async_->dispatcher_scheduled.exchange(true)) return;
-  {
-    AsyncState* async = async_.get();
-    MutexLock lock(async->mu);
-    ++async->inflight;  // the dispatcher's own ticket
-  }
-  // The dispatcher pins the engine's owner for its whole run and releases
-  // its ticket before dropping the pin, so an owner whose last reference
-  // dies inside an engine task never waits on that task's own ticket.
-  //
-  // On a 1-thread pool ThreadPool::Submit runs inline: the whole async path
-  // completes synchronously before Submit returns, matching the engine's
-  // serial-degeneration contract.
-  std::shared_ptr<const void> pin = lifetime_guard_.lock();
-  pool_->Submit([this, pin] { DispatchAsyncBatches(); });
-}
-
-void QueryEngine::DispatchAsyncBatches() {
-  for (;;) {
-    AsyncBatch batch;
-    while (async_->queue.TryPop(&batch)) {
-      ProcessAsyncBatch(std::move(batch));
-    }
-    // Stand down, then re-check: a producer that pushed after the last
-    // TryPop but before the store either sees the flag still true (we
-    // reclaim below) or schedules a fresh dispatcher that owns the role.
-    async_->dispatcher_scheduled.store(false);
-    if (async_->queue.size() == 0 ||
-        async_->dispatcher_scheduled.exchange(true)) {
-      break;
-    }
-  }
-  FinishInflight();  // release the dispatcher ticket
-}
-
-void QueryEngine::ProcessAsyncBatch(AsyncBatch batch) {
-  // A batch whose deadline died in the queue is dropped here, before the
-  // pre-scan: executing it would spend pool time on an answer the caller
-  // has already given up on.
-  if (batch.request.deadline.Expired()) {
-    Bump(stats_->deadlines_expired);
-    CompleteAsyncBatch(std::move(batch),
-                       Status::Timeout("deadline expired before dispatch"));
-    return;
-  }
-  auto state = std::make_shared<AsyncBatchState>();
-  state->batch = std::move(batch);
-  const std::vector<Query>& queries = state->batch.request.queries;
-  state->outcomes.resize(queries.size());
-  state->plan = PreScanBatch(queries, &state->outcomes);
-  if (state->plan.leaders.empty()) {  // pure cache-hit (or empty) batch
-    FinalizeAsyncBatch(state);
-    return;
-  }
-  // Each distinct miss becomes its own pool task: no worker blocks on a
-  // batch barrier, and leaders of different batches interleave freely. The
-  // last leader to finish finalizes — possibly while the dispatcher is
-  // already processing the next queued batch.
-  //
-  // Relaxed: this store happens-before every leader task via the pool's
-  // queue mutex; the cross-leader ordering lives in the acq_rel fetch_sub.
-  state->remaining.store(state->plan.leaders.size(),
-                         std::memory_order_relaxed);
-  for (size_t g = 0; g < state->plan.leaders.size(); ++g) {
-    pool_->Submit([this, state, g] {
-      // A stalled worker (when the fault is armed): long enough to expire
-      // tight deadlines behind it, short enough to keep fault runs fast.
-      FaultStallIfArmed(kFaultDispatchSlowWorker, 20);
-      const size_t i = state->plan.leaders[g];
-      const BatchRequest& request = state->batch.request;
-      state->outcomes[i] =
-          ExecuteUncached(request.queries[i], request.deadline);
-      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        FinalizeAsyncBatch(state);
-      }
-    });
-  }
-}
-
-void QueryEngine::FinalizeAsyncBatch(
-    const std::shared_ptr<AsyncBatchState>& state) {
-  FanOutFollowers(state->plan, &state->outcomes);
-  BatchResult result;
-  result.outcomes = std::move(state->outcomes);
-  state->batch.done(std::move(result));
-  FinishInflight();
-}
-
-void QueryEngine::FinishInflight() {
-  AsyncState* async = async_.get();
-  MutexLock lock(async->mu);
-  if (--async->inflight == 0) {
-    // Notify while still holding the mutex: a DrainAsync waiter may
-    // destroy the engine the instant it observes inflight == 0, and an
-    // unlocked notify would then touch a freed condition variable.
-    async->drained.NotifyAll();
-  }
-}
-
-void QueryEngine::DrainAsync() {
-  AsyncState* async = async_.get();
-  MutexLock lock(async->mu);
-  while (async->inflight != 0) async->drained.Wait(async->mu);
-}
+void QueryEngine::CountAsyncBatch() { Bump(stats_->async_batches); }
+void QueryEngine::CountShedBatch() { Bump(stats_->batches_shed); }
+void QueryEngine::CountExpiredBatch() { Bump(stats_->deadlines_expired); }
 
 ServeStats QueryEngine::stats() const {
   // Each counter is an independent relaxed atomic; a snapshot taken under

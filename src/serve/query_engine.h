@@ -2,17 +2,12 @@
 #define TKC_SERVE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "serve/query_cache.h"
-#include "util/mpsc_queue.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "vct/phc_index.h"
@@ -26,22 +21,16 @@
 /// CoreTime phase, then the paper's Enum counted instead of walked, since a
 /// served outcome carries counts only.
 ///
-///  * **Two schedulers, one pipeline.** ServeBatch runs a batch on the
-///    calling thread, sharding its distinct misses over the pool with the
-///    caller as one of the workers (a batch answered entirely from the
-///    cache never leaves the caller). Submit enqueues a batch on a bounded
-///    MPSC request queue and returns immediately: a pool-resident
-///    dispatcher drains the queue and fans each batch's distinct misses out
-///    as individual pool tasks, so clients keep issuing while earlier
-///    batches run and no pool worker ever blocks on a batch barrier; the
-///    finished BatchResult goes to the submission's Completion. Futures
-///    (SubmitAsync) and completion queues (BatchCompletionQueue::
-///    CompletionFor) are adapters over Submit. Both schedulers share the
-///    same pre-scan, miss execution and duplicate fan-out, and any number
-///    of client threads may call either concurrently. An unlimited-deadline
-///    Submit blocks on a full request queue (backpressure). On a 1-thread
-///    pool the async path degenerates to synchronous inline execution,
-///    trivially deterministic.
+///  * **One snapshot's serving state.** An engine answers batches against
+///    its graph and carries no scheduler of its own. ServeBatch runs a batch
+///    on the calling thread, sharding its distinct misses over the pool with
+///    the caller as one of the workers (a batch answered entirely from the
+///    cache never leaves the caller). The async request queue lives one
+///    level up, in LiveQueryEngine (serve/snapshot.h): its dispatcher runs
+///    each queued batch through this engine's pre-scan, miss execution and
+///    duplicate fan-out — the same three steps ServeBatch runs — and bumps
+///    the scheduler counters of ServeStats here, on the batch's pinned
+///    engine. Any number of threads may call ServeBatch concurrently.
 ///  * **Recycled build scratch.** Each in-flight miss checks a
 ///    VctBuildArena out of an internal free list (growing only to the peak
 ///    concurrency ever observed), so the CoreTime phase reuses its scratch
@@ -66,15 +55,12 @@
 ///    serialize on a single cache lock, and every serve counter is a
 ///    relaxed atomic aggregated on read — the only engine-wide mutex left
 ///    on the hot path guards the arena free list.
-///  * **Deadline-aware admission & shedding.** Every submission may carry a
-///    Deadline. An already-expired batch is dropped (every outcome
-///    `Status::Timeout`) at submission or dispatch instead of executing,
-///    and a finite-deadline submission never blocks on a full request
-///    queue: the queued batch with the least remaining deadline is shed
-///    with `Status::ResourceExhausted` — either a queued batch is evicted
-///    to make room, or the incoming batch itself loses the contest — so
-///    callers always get an answer in bounded time. Unlimited-deadline
-///    batches are never evicted.
+///  * **Deadlines.** ServeBatch takes an optional Deadline: an
+///    already-expired batch answers `Status::Timeout` everywhere without
+///    touching the cache or the index, and misses not yet run when it
+///    expires mid-batch answer Timeout too. LiveQueryEngine adds the
+///    queue-side policy (drop at submission or dispatch, shed on a full
+///    queue).
 ///
 /// Determinism contract: the *result* fields of a served outcome (status
 /// code, num_cores, result_size_edges, vct_size, ecs_size) are bit-identical
@@ -91,17 +77,10 @@ struct VctBuildArena;  // vct/vct_builder.h
 
 /// Construction-time configuration of a QueryEngine.
 struct QueryEngineOptions {
-  /// Pool the batches shard over; nullptr uses ThreadPool::Shared(). A
-  /// 1-thread pool serves batches serially on the calling thread.
+  /// Pool the batches shard over and the construction-time index build
+  /// fans out over; nullptr uses ThreadPool::Shared(). A 1-thread pool
+  /// serves batches serially on the calling thread.
   ThreadPool* pool = nullptr;
-
-  /// Pool the construction-time PHC index build (or the live layer's
-  /// delta-aware Rebuild) fans out over; nullptr falls back to `pool`.
-  /// The live-update layer points this at a dedicated update pool so a
-  /// rebuild never steals the serving pool's workers out from under
-  /// in-flight batches — the contention that collapsed during-update
-  /// throughput at low thread counts.
-  ThreadPool* index_build_pool = nullptr;
 
   /// LRU capacity of the (k, range) -> outcome memo; 0 disables caching.
   /// The memo is split into StripedQueryCache::kDefaultStripes lock
@@ -118,11 +97,6 @@ struct QueryEngineOptions {
   /// admitted miss by reading slice k instead of rebuilding VCT+ECS.
   bool build_index = false;
 
-  /// Bound of the async submission queue: at most this many batches wait
-  /// for dispatch; further unlimited-deadline Submit calls block until
-  /// room frees up (producer backpressure, never an unbounded backlog).
-  size_t async_queue_capacity = 256;
-
   /// Serve the admission index from this prebuilt PHC index (typically
   /// LoadPhcIndex from vct/index_io.h) instead of building one at
   /// construction — the persist/load path that amortizes engine start-up.
@@ -135,101 +109,13 @@ struct QueryEngineOptions {
   const PhcIndex* preloaded_index = nullptr;
 };
 
-/// One batch submission: the queries and the deadline bounding the whole
-/// batch (unlimited by default).
-struct BatchRequest {
-  std::vector<Query> queries;
-  Deadline deadline;
-};
-
-/// The completed answer to one submitted batch.
-struct BatchResult {
-  std::vector<RunOutcome> outcomes;  ///< outcomes[i] answers queries[i]
-  /// Version of the graph snapshot the batch executed against — 0 from a
-  /// plain QueryEngine, the pinned snapshot's version from a
-  /// LiveQueryEngine (serve/snapshot.h).
-  uint64_t snapshot_version = 0;
-  /// Caller-chosen correlation tag (completion-queue submissions only).
-  uint64_t tag = 0;
-};
-
-/// Receives a submitted batch's result exactly once — on a pool thread,
-/// inline on a 1-thread pool, or on the submitter's thread when the batch
-/// is dropped at submission. Whatever it captures lives until the batch's
-/// in-flight state is released, after the engine stops touching the batch;
-/// the live layer relies on that to keep the pinned snapshot alive.
-using Completion = std::function<void(BatchResult&&)>;
-
-/// A caller-owned queue of finished batches for event-loop-shaped clients
-/// that multiplex many in-flight batches without holding futures: submit
-/// with CompletionFor(tag), and the engine pushes each finished BatchResult
-/// stamped with its tag; the client pops with Next/TryNext. Bounded: a slow
-/// consumer eventually blocks the pool workers delivering completions,
-/// which is the intended backpressure.
-class BatchCompletionQueue {
- public:
-  explicit BatchCompletionQueue(size_t capacity = 1024) : queue_(capacity) {}
-
-  /// Destruction shuts down first, so a queue dying under a slow consumer
-  /// cannot be freed while an engine-side Deliver still touches it.
-  ~BatchCompletionQueue() { Shutdown(); }
-
-  /// Blocks for the next finished batch; false once Shutdown() was called
-  /// and every delivered batch has been popped.
-  bool Next(BatchResult* out) { return queue_.Pop(out); }
-
-  /// Non-blocking variant; false when nothing is ready right now.
-  bool TryNext(BatchResult* out) { return queue_.TryPop(out); }
-
-  /// Unblocks every Deliver stuck on a full queue (its result is dropped),
-  /// waits for in-flight deliveries to leave the queue, then wakes blocked
-  /// consumers once the delivered backlog drains. After Shutdown returns no
-  /// engine-side Deliver touches this object, so destroying it is safe even
-  /// if a consumer stalled while batches were still completing. Idempotent.
-  void Shutdown() TKC_EXCLUDES(mu_) {
-    queue_.Close();
-    MutexLock lock(mu_);
-    while (delivering_ != 0) idle_.Wait(mu_);
-  }
-
-  size_t pending() const { return queue_.size(); }
-
-  /// A completion that stamps `tag` on the result and delivers it here.
-  /// This queue must outlive the delivery (drain the engine before
-  /// destroying it).
-  Completion CompletionFor(uint64_t tag) {
-    return [this, tag](BatchResult&& result) {
-      result.tag = tag;
-      Deliver(std::move(result));
-    };
-  }
-
-  /// Engine-side delivery (blocks while the queue is full; unblocked — with
-  /// the result dropped — by Shutdown()). Two scoped acquisitions bracket
-  /// the potentially-blocking Push, which must not run under the mutex (it
-  /// would deadlock Shutdown's wait against a full queue).
-  void Deliver(BatchResult result) TKC_EXCLUDES(mu_) {
-    {
-      MutexLock lock(mu_);
-      ++delivering_;
-    }
-    queue_.Push(std::move(result));
-    MutexLock lock(mu_);
-    // Notify under the mutex: a Shutdown() waiter may destroy this object
-    // the instant it observes delivering_ == 0.
-    if (--delivering_ == 0) idle_.NotifyAll();
-  }
-
- private:
-  BoundedMpscQueue<BatchResult> queue_;
-  Mutex mu_;
-  CondVar idle_;
-  size_t delivering_ TKC_GUARDED_BY(mu_) = 0;
-};
-
-/// Monotone counters describing everything an engine has served.
+/// Monotone counters describing everything an engine has served. The
+/// scheduler counters (async_batches, batches_shed, deadlines_expired of
+/// dropped queued batches) are bumped by LiveQueryEngine on the engine of
+/// the snapshot each batch pinned.
 struct ServeStats {
-  /// ServeBatch calls plus Submit batches that got past dispatch.
+  /// ServeBatch calls plus LiveQueryEngine::Submit batches that got past
+  /// dispatch.
   uint64_t batches = 0;
   uint64_t queries_served = 0;   ///< total queries answered
   uint64_t cache_hits = 0;
@@ -273,42 +159,6 @@ class QueryEngine {
   std::vector<RunOutcome> ServeBatch(const std::vector<Query>& queries,
                                      const Deadline& deadline = {});
 
-  // --- async submission --------------------------------------------------
-  //
-  // Lifetime contract: the engine must not be moved or destroyed while
-  // async batches are in flight; the destructor (and DrainAsync) blocks
-  // until every accepted batch has delivered its result. The serving pool
-  // must outlive the drain.
-
-  /// Enqueues the batch on the bounded request queue; `done` receives its
-  /// result exactly once. Any number of threads may submit concurrently;
-  /// batches dispatch FIFO but complete in any order (later batches overlap
-  /// earlier ones). An unlimited-deadline request blocks while the queue is
-  /// full. A finite-deadline request never blocks (see the shed policy in
-  /// the file comment): its result carries served outcomes, all-`Timeout`
-  /// outcomes (deadline expired before execution), or all-
-  /// `ResourceExhausted` outcomes (shed by the eviction contest).
-  void Submit(BatchRequest request, Completion done);
-
-  /// Submit adapted to a future.
-  std::future<BatchResult> SubmitAsync(std::vector<Query> queries,
-                                       const Deadline& deadline = {});
-
-  /// Owner-installed keep-alive for the engine's internal async tasks.
-  /// Every dispatcher task locks this guard for its whole run, and a
-  /// batch's Completion (with everything it captures) outlives the batch's
-  /// drain ticket. Net effect: when the last pin disappears — possibly on a
-  /// pool thread — no ticket is outstanding, so the destructor's drain
-  /// returns without blocking and destroying an owner (e.g. a
-  /// GraphSnapshot) from inside one of this engine's own pool tasks cannot
-  /// deadlock on itself. Must be set before the first Submit; unset (plain
-  /// engines), the caller simply must not destroy the engine from inside
-  /// one of its own tasks.
-  void SetLifetimeGuard(std::weak_ptr<const void> guard);
-
-  /// Blocks until every batch accepted by Submit has delivered.
-  void DrainAsync();
-
   /// Snapshot of the cumulative serving counters.
   ServeStats stats() const;
 
@@ -340,6 +190,10 @@ class QueryEngine {
  private:
   template <typename T>
   friend class StatusOr;  // needs the inert default state below
+  /// The live engine's dispatcher runs queued batches through the pre-scan,
+  /// ExecuteUncached and the fan-out below, and bumps the scheduler
+  /// counters on each batch's pinned engine.
+  friend class LiveQueryEngine;
 
   /// Inert engine (no graph, no pool) — only the empty slot inside a
   /// StatusOr before a real engine is moved in. Never served from.
@@ -361,9 +215,10 @@ class QueryEngine {
   /// existing arena is in flight) and returns it on destruction.
   class ArenaLease;
 
-  /// One pre-scan over a batch, shared by both schedulers: cache hits
-  /// answered inline into `outcomes`, remaining distinct misses grouped
-  /// into leaders (first occurrence) and followers (in-batch duplicates).
+  /// One pre-scan over a batch, shared by ServeBatch and the live engine's
+  /// dispatcher: cache hits answered inline into `outcomes`, remaining
+  /// distinct misses grouped into leaders (first occurrence) and followers
+  /// (in-batch duplicates).
   struct BatchPlan {
     std::vector<size_t> leaders;
     std::vector<std::vector<size_t>> followers;
@@ -374,18 +229,10 @@ class QueryEngine {
   void FanOutFollowers(const BatchPlan& plan,
                        std::vector<RunOutcome>* outcomes);
 
-  // Async machinery (defined in query_engine.cc).
-  struct AsyncBatch;       ///< one queued submission
-  struct AsyncBatchState;  ///< one dispatched batch's shared in-flight state
-  struct AsyncState;       ///< queue + dispatcher + drain bookkeeping
-  void ScheduleDispatcher();
-  void DispatchAsyncBatches();
-  void ProcessAsyncBatch(AsyncBatch batch);
-  void FinalizeAsyncBatch(const std::shared_ptr<AsyncBatchState>& state);
-  void FinishInflight();
-  /// Settles a dropped batch: every outcome gets `status`, the completion
-  /// callback runs, and the batch's inflight ticket is released.
-  void CompleteAsyncBatch(AsyncBatch&& batch, const Status& status);
+  /// Scheduler counters (see ServeStats).
+  void CountAsyncBatch();
+  void CountShedBatch();
+  void CountExpiredBatch();
 
   const TemporalGraph* graph_ = nullptr;
   QueryEngineOptions options_;
@@ -409,10 +256,6 @@ class QueryEngine {
   struct ArenaPool;
   std::unique_ptr<ArenaPool> arenas_;
   std::unique_ptr<AtomicServeStats> stats_;
-
-  /// Async submission state (request queue, dispatcher flag, drain cv).
-  std::unique_ptr<AsyncState> async_;
-  std::weak_ptr<const void> lifetime_guard_;
 };
 
 }  // namespace tkc

@@ -1,6 +1,7 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iterator>
 #include <utility>
@@ -31,19 +32,16 @@ bool IsTransientForRetry(const Status& status) {
   }
 }
 
-}  // namespace
-
-const char* HealthStateName(HealthState state) {
-  switch (state) {
-    case HealthState::kHealthy:
-      return "Healthy";
-    case HealthState::kDegraded:
-      return "Degraded";
-    case HealthState::kUpdatesFailed:
-      return "UpdatesFailed";
-  }
-  return "Unknown";
+/// The update pool's width: the serving pool's, capped at the hardware core
+/// count — rebuild slices beyond real cores buy no parallelism, they only
+/// oversubscribe the machine against the serving threads.
+int UpdatePoolThreads(const ThreadPool& serve_pool) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int threads = serve_pool.num_threads();
+  return hw > 0 ? std::min(threads, hw) : threads;
 }
+
+}  // namespace
 
 StatusOr<std::shared_ptr<GraphSnapshot>> GraphSnapshot::CreateImpl(
     TemporalGraph graph, uint64_t version, const QueryEngineOptions& options) {
@@ -55,11 +53,6 @@ StatusOr<std::shared_ptr<GraphSnapshot>> GraphSnapshot::CreateImpl(
   auto engine = QueryEngine::Create(snapshot->graph_, options);
   if (!engine.ok()) return engine.status();
   snapshot->engine_.emplace(std::move(engine).value());
-  // The engine's internal async tasks pin this snapshot while they run, so
-  // dropping the last external pin inside one of those tasks destroys the
-  // snapshot without the engine's drain waiting on the running task.
-  snapshot->engine_->SetLifetimeGuard(
-      std::weak_ptr<const void>(std::shared_ptr<const void>(snapshot)));
   return snapshot;
 }
 
@@ -72,7 +65,7 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::Create(
 
 StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
     const GraphSnapshot& base, GraphUpdate update, uint64_t version,
-    const QueryEngineOptions& options) {
+    const QueryEngineOptions& options, ThreadPool* update_pool) {
   // The delta-only validity proof for cached outcomes: with the compacted
   // timeline and vertex pool preserved, every (k, range) outcome with
   // k > the delta's core bound answers identically on the new graph —
@@ -82,32 +75,28 @@ StatusOr<std::shared_ptr<const GraphSnapshot>> GraphSnapshot::CreateSuccessor(
   const uint32_t carry_bound =
       update.delta.empty() ? 0 : update.delta.max_core_bound;
   QueryEngineOptions successor_options = options;
-  // Delta-aware index maintenance: when the base snapshot has an admission
-  // index to rebuild from, produce the successor's index with
-  // PhcIndex::Rebuild — clean slices shared by pointer, dirty ones rebuilt
-  // over the pool — and hand it to the engine as a preloaded index (a
-  // cheap copy: slices are shared). Bit-identical to the from-scratch
-  // build the engine would otherwise run.
-  PhcIndex rebuilt;
+  // The successor's index is built here, on the update pool, and handed to
+  // the engine as a preloaded index (a cheap copy: slices are shared), so
+  // no index work lands on the serving pool. With a base index to start
+  // from, the delta-aware PhcIndex::Rebuild shares clean slices by pointer
+  // and rebuilds only dirty ones — bit-identical to a from-scratch build.
+  PhcIndex built;
   PhcRebuildStats rebuild_stats;
   const PhcIndex* base_index = base.engine().index();
   const bool want_index =
       (options.build_index || options.preloaded_index != nullptr) &&
-      base_index != nullptr && update.graph.num_timestamps() > 0;
+      update.graph.num_timestamps() > 0;
   if (want_index) {
     PhcBuildOptions build;
-    // The rebuild fans out over the dedicated update pool when the live
-    // layer provides one — never the serving pool, whose workers belong to
-    // in-flight query batches.
-    build.pool = options.index_build_pool != nullptr ? options.index_build_pool
-                 : options.pool != nullptr          ? options.pool
-                                                    : &ThreadPool::Shared();
-    auto index = PhcIndex::Rebuild(*base_index, update.graph, update.delta,
-                                   build, &rebuild_stats);
+    build.pool = update_pool;
+    auto index = base_index != nullptr
+                     ? PhcIndex::Rebuild(*base_index, update.graph,
+                                         update.delta, build, &rebuild_stats)
+                     : PhcIndex::Build(update.graph, update.graph.FullRange(),
+                                       build);
     if (!index.ok()) return index.status();
-    rebuilt = std::move(index).value();
-    successor_options.preloaded_index = &rebuilt;  // copied by Create
-    successor_options.build_index = true;
+    built = std::move(index).value();
+    successor_options.preloaded_index = &built;  // copied by Create
   }
 
   auto snapshot =
@@ -144,7 +133,11 @@ StatusOr<std::unique_ptr<LiveQueryEngine>> LiveQueryEngine::Create(
 LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
                                  const LiveEngineOptions& options)
     : options_(options),
-      current_(initial),
+      current_(std::move(initial)),
+      serve_pool_(options.engine.pool != nullptr ? options.engine.pool
+                                                 : &ThreadPool::Shared()),
+      update_pool_(UpdatePoolThreads(*serve_pool_)),
+      request_queue_(options.async_queue_capacity),
       update_queue_(options.update_queue_capacity),
       updater_([this] { UpdaterLoop(); }) {
   // A preloaded admission index describes exactly one graph — the initial
@@ -157,34 +150,7 @@ LiveQueryEngine::LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
     rebuild_engine_options_.preloaded_index = nullptr;
     rebuild_engine_options_.build_index = true;
   }
-  // De-contention: rebuilds fan out over a pool that shares no worker with
-  // the serving pool, so a swap in progress costs queries nothing but
-  // memory bandwidth.
-  ThreadPool* update_pool = options_.update_pool;
-  if (update_pool == nullptr) {
-    const ThreadPool* serve_pool = options_.engine.pool != nullptr
-                                       ? options_.engine.pool
-                                       : &ThreadPool::Shared();
-    // Default size: the serving pool's width, capped at the physical core
-    // count — rebuild slices beyond real cores buy no parallelism, they
-    // only oversubscribe the machine against the serving threads.
-    size_t threads = options_.update_pool_threads;
-    if (threads == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = static_cast<size_t>(serve_pool->num_threads());
-      if (hw > 0 && threads > hw) threads = hw;
-    }
-    owned_update_pool_ =
-        std::make_unique<ThreadPool>(static_cast<int>(threads));
-    update_pool = owned_update_pool_.get();
-  }
-  rebuild_engine_options_.index_build_pool = update_pool;
   jitter_stream_ = SplitMix64(options.retry_jitter_seed);
-  // The updater thread is already running (started in the init list); no
-  // batch can reach it before Create returns, but take the guard anyway so
-  // the "all_snapshots_ under snapshots_mu_" invariant has no carve-out.
-  MutexLock lock(snapshots_mu_);
-  all_snapshots_.push_back(std::move(initial));
 }
 
 void LiveQueryEngine::Shutdown() {
@@ -213,29 +179,8 @@ void LiveQueryEngine::Shutdown() {
 }
 
 void LiveQueryEngine::DrainAsync() {
-  // Drain every snapshot that still exists, not just the current one: a
-  // batch pinned to an older version may still be delivering (e.g. into a
-  // caller's BatchCompletionQueue), and the caller must be able to destroy
-  // that queue right after this returns. An expired weak_ptr means every
-  // pin is gone, which implies that snapshot has nothing in flight. The
-  // list is copied (and pruned), not cleared, so the call is repeatable —
-  // the destructor drains again after Shutdown already did.
-  std::vector<std::weak_ptr<const GraphSnapshot>> snapshots;
-  {
-    MutexLock lock(snapshots_mu_);
-    all_snapshots_.erase(
-        std::remove_if(all_snapshots_.begin(), all_snapshots_.end(),
-                       [](const std::weak_ptr<const GraphSnapshot>& w) {
-                         return w.expired();
-                       }),
-        all_snapshots_.end());
-    snapshots = all_snapshots_;
-  }
-  for (const auto& weak : snapshots) {
-    if (std::shared_ptr<const GraphSnapshot> alive = weak.lock()) {
-      alive->engine().DrainAsync();
-    }
-  }
+  MutexLock lock(inflight_mu_);
+  while (inflight_ != 0) drained_.Wait(inflight_mu_);
 }
 
 LiveQueryEngine::~LiveQueryEngine() {
@@ -256,22 +201,6 @@ BatchResult LiveQueryEngine::ServeBatch(const std::vector<Query>& queries,
   return result;
 }
 
-void LiveQueryEngine::Submit(BatchRequest request, Completion done) {
-  std::shared_ptr<const GraphSnapshot> pin = snapshot();
-  // The completion owns a pin: the snapshot (graph, engine, index) cannot
-  // die before the batch's result is delivered, no matter how many swaps
-  // happen in between, and the engine destroys the completion only after
-  // releasing the batch's drain ticket. Dropped batches (Timeout/
-  // ResourceExhausted) settle through the same completion, so they too
-  // carry the pinned version. The local pin keeps the snapshot alive
-  // across the call itself.
-  Completion stamped = [pin, done = std::move(done)](BatchResult&& result) {
-    result.snapshot_version = pin->version();
-    done(std::move(result));
-  };
-  pin->engine().Submit(std::move(request), std::move(stamped));
-}
-
 std::future<BatchResult> LiveQueryEngine::SubmitAsync(
     std::vector<Query> queries, const Deadline& deadline) {
   auto promise = std::make_shared<std::promise<BatchResult>>();
@@ -281,6 +210,179 @@ std::future<BatchResult> LiveQueryEngine::SubmitAsync(
            promise->set_value(std::move(result));
          });
   return future;
+}
+
+// --- async scheduler -------------------------------------------------------
+
+/// Shared in-flight state of one dispatched batch: leader tasks write
+/// disjoint outcome slots and the last to finish finalizes.
+struct LiveQueryEngine::DispatchedBatch {
+  QueuedBatch batch;
+  std::vector<RunOutcome> outcomes;
+  QueryEngine::BatchPlan plan;
+  std::atomic<size_t> remaining{0};
+};
+
+void LiveQueryEngine::Submit(BatchRequest request, Completion done) {
+  QueuedBatch batch{std::move(request), std::move(done), snapshot()};
+  const Deadline deadline = batch.request.deadline;
+  AcquireTicket();
+  // Counted before the push: once queued, the batch (and with it possibly
+  // the last pin) belongs to the dispatcher.
+  batch.pin->engine().CountAsyncBatch();
+
+  if (deadline.unlimited()) {
+    // The request queue never closes, so Push cannot fail; it blocks while
+    // the queue is at capacity (producer backpressure).
+    request_queue_.Push(std::move(batch));
+    ScheduleDispatcher();
+    return;
+  }
+
+  // Deadline-carrying submissions never block: an already-dead batch is
+  // answered right here, and a full queue runs the eviction contest — the
+  // batch with the least remaining deadline (queued against any snapshot,
+  // or incoming) is shed with ResourceExhausted so the submitter returns
+  // in bounded time. A shed batch is counted on its own pinned engine.
+  if (deadline.Expired()) {
+    batch.pin->engine().CountExpiredBatch();
+    DropBatch(&batch, Status::Timeout("deadline expired before submission"));
+    return;
+  }
+  QueuedBatch evicted;
+  const PushOutcome outcome = request_queue_.PushOrEvict(
+      &batch,
+      [](const QueuedBatch& a, const QueuedBatch& b) {
+        return a.request.deadline.ExpiresBefore(b.request.deadline);
+      },
+      &evicted);
+  switch (outcome) {
+    case PushOutcome::kPushed:
+      ScheduleDispatcher();
+      break;
+    case PushOutcome::kPushedEvicted:
+      evicted.pin->engine().CountShedBatch();
+      DropBatch(&evicted, Status::ResourceExhausted(
+                              "request queue full: evicted by a submission "
+                              "with more remaining deadline"));
+      ScheduleDispatcher();
+      break;
+    case PushOutcome::kRejectedIncoming:
+      batch.pin->engine().CountShedBatch();
+      DropBatch(&batch, Status::ResourceExhausted(
+                            "request queue full: least remaining deadline"));
+      break;
+    case PushOutcome::kClosed:  // unreachable: the queue never closes
+      DropBatch(&batch, Status::FailedPrecondition("engine shutting down"));
+      break;
+  }
+}
+
+void LiveQueryEngine::ScheduleDispatcher() {
+  if (dispatcher_scheduled_.exchange(true)) return;
+  AcquireTicket();  // the dispatcher's own ticket
+  // On a 1-thread pool ThreadPool::Submit runs inline: the whole async path
+  // completes synchronously before Submit returns.
+  serve_pool_->Submit([this] { DispatchBatches(); });
+}
+
+void LiveQueryEngine::DispatchBatches() {
+  for (;;) {
+    QueuedBatch batch;
+    while (request_queue_.TryPop(&batch)) ProcessBatch(std::move(batch));
+    // Stand down, then re-check: a producer that pushed after the last
+    // TryPop but before the store either sees the flag still true (we
+    // reclaim below) or schedules a fresh dispatcher that owns the role.
+    dispatcher_scheduled_.store(false);
+    if (request_queue_.size() == 0 || dispatcher_scheduled_.exchange(true)) {
+      break;
+    }
+  }
+  ReleaseTicket();  // the dispatcher's ticket
+}
+
+void LiveQueryEngine::ProcessBatch(QueuedBatch batch) {
+  QueryEngine& engine = batch.pin->engine();
+  // A batch whose deadline died in the queue is dropped here, before the
+  // pre-scan: executing it would spend pool time on an answer the caller
+  // has already given up on.
+  if (batch.request.deadline.Expired()) {
+    engine.CountExpiredBatch();
+    DropBatch(&batch, Status::Timeout("deadline expired before dispatch"));
+    return;
+  }
+  auto state = std::make_shared<DispatchedBatch>();
+  state->batch = std::move(batch);
+  const std::vector<Query>& queries = state->batch.request.queries;
+  state->outcomes.resize(queries.size());
+  state->plan = engine.PreScanBatch(queries, &state->outcomes);
+  const size_t leaders = state->plan.leaders.size();
+  if (leaders == 0) {  // pure cache-hit (or empty) batch
+    FinishExecutedBatch(state.get());
+    return;
+  }
+  // Each distinct miss becomes its own pool task: no worker blocks on a
+  // batch barrier, and leaders of different batches interleave freely. The
+  // last leader to finish finalizes — possibly while the dispatcher is
+  // already processing the next queued batch — and releases the pin, so
+  // nothing after the loop below may touch `engine`.
+  //
+  // Relaxed: this store happens-before every leader task via the pool's
+  // queue mutex; the cross-leader ordering lives in the acq_rel fetch_sub.
+  state->remaining.store(leaders, std::memory_order_relaxed);
+  for (size_t g = 0; g < leaders; ++g) {
+    serve_pool_->Submit([this, state, g] {
+      // A stalled worker (when the fault is armed): long enough to expire
+      // tight deadlines behind it, short enough to keep fault runs fast.
+      FaultStallIfArmed(kFaultDispatchSlowWorker, 20);
+      const size_t i = state->plan.leaders[g];
+      const BatchRequest& request = state->batch.request;
+      state->outcomes[i] = state->batch.pin->engine().ExecuteUncached(
+          request.queries[i], request.deadline);
+      if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        FinishExecutedBatch(state.get());
+      }
+    });
+  }
+}
+
+void LiveQueryEngine::FinishExecutedBatch(DispatchedBatch* state) {
+  state->batch.pin->engine().FanOutFollowers(state->plan, &state->outcomes);
+  BatchResult result;
+  result.outcomes = std::move(state->outcomes);
+  FinishBatch(&state->batch, std::move(result));
+}
+
+void LiveQueryEngine::DropBatch(QueuedBatch* batch, const Status& status) {
+  BatchResult result;
+  result.outcomes.resize(batch->request.queries.size());
+  for (RunOutcome& out : result.outcomes) out.status = status;
+  FinishBatch(batch, std::move(result));
+}
+
+void LiveQueryEngine::FinishBatch(QueuedBatch* batch, BatchResult result) {
+  result.snapshot_version = batch->pin->version();
+  batch->done(std::move(result));
+  // Completion and pin die before the ticket is released: once DrainAsync
+  // returns, no task holds a snapshot or a caller's completion queue.
+  batch->done = nullptr;
+  batch->pin.reset();
+  ReleaseTicket();
+}
+
+void LiveQueryEngine::AcquireTicket() {
+  MutexLock lock(inflight_mu_);
+  ++inflight_;
+}
+
+void LiveQueryEngine::ReleaseTicket() {
+  MutexLock lock(inflight_mu_);
+  if (--inflight_ == 0) {
+    // Notify while still holding the mutex: a DrainAsync waiter may
+    // destroy this engine the instant it observes inflight_ == 0, and an
+    // unlocked notify would then touch a freed condition variable.
+    drained_.NotifyAll();
+  }
 }
 
 std::future<Status> LiveQueryEngine::ApplyUpdates(
@@ -392,19 +494,6 @@ void LiveQueryEngine::UpdaterLoop() {
         current_.swap(superseded);
       }
       superseded.reset();
-      {
-        // Track the new version for destructor-time draining; expired
-        // entries (snapshots whose last pin is gone) are pruned here so
-        // the list stays proportional to snapshots actually alive.
-        MutexLock lock(snapshots_mu_);
-        all_snapshots_.erase(
-            std::remove_if(all_snapshots_.begin(), all_snapshots_.end(),
-                           [](const std::weak_ptr<const GraphSnapshot>& w) {
-                             return w.expired();
-                           }),
-            all_snapshots_.end());
-        all_snapshots_.push_back(next);
-      }
       swap_seconds = swap_timer.ElapsedSeconds();
     }
 
@@ -467,7 +556,7 @@ Status LiveQueryEngine::RebuildWithRetry(
     if (status.ok()) {
       auto built = GraphSnapshot::CreateSuccessor(
           *base, std::move(update).value(), next_version,
-          rebuild_engine_options_);
+          rebuild_engine_options_, &update_pool_);
       status = built.ok() ? Status::OK() : built.status();
       if (built.ok()) *next = std::move(built).value();
     }

@@ -1,7 +1,9 @@
 #ifndef TKC_SERVE_SNAPSHOT_H_
 #define TKC_SERVE_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -14,6 +16,8 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 #include "vct/phc_index.h"
 
 /// \file snapshot.h
@@ -33,8 +37,8 @@
 ///    answer against exactly one graph version, even if any number of
 ///    swaps land while the batch is in flight.
 ///  * ApplyUpdates never blocks serving: a dedicated updater thread builds
-///    the successor snapshot off to the side — its index rebuild fanned
-///    over a dedicated update pool, never the serving pool — and then
+///    the successor snapshot off to the side — its index build fanned over
+///    the live engine's own update pool, never the serving pool — and then
 ///    publishes it by swapping one shared_ptr under a mutex; pinning the
 ///    current snapshot copies that shared_ptr under the same mutex, a
 ///    critical section of one refcount bump. Old snapshots die when their
@@ -51,6 +55,31 @@
 ///    all count as failed_updates) and the previous snapshot stays
 ///    current.
 ///
+/// Async serving — *one request queue per live engine*:
+///
+///  * Submit puts the batch, its Completion and its pinned snapshot on one
+///    bounded MPSC request queue shared by every snapshot. A pool-resident
+///    dispatcher drains it FIFO and runs each batch on its pinned
+///    snapshot's engine (QueryEngine's pre-scan, miss execution and
+///    duplicate fan-out), each distinct miss as its own pool task, so
+///    clients keep issuing while earlier batches run and no pool worker
+///    blocks on a batch barrier. Futures (SubmitAsync) and completion
+///    queues (BatchCompletionQueue::CompletionFor) are adapters over
+///    Submit. On a 1-thread pool the path runs inline, synchronously.
+///  * The queue bound, the shed contest and FIFO dispatch hold across
+///    swaps. An unlimited-deadline Submit blocks on a full queue
+///    (backpressure). A finite-deadline one never blocks: an already
+///    expired batch is dropped with `Status::Timeout` at submission or at
+///    dispatch, and on a full queue the batch with the least remaining
+///    deadline — queued against any snapshot, or the incoming one — is
+///    shed with `Status::ResourceExhausted`. Unlimited-deadline batches
+///    are never evicted.
+///  * Each accepted batch holds a drain ticket, released only after its
+///    completion and its pin are destroyed: once DrainAsync returns, no
+///    task holds a snapshot or touches a caller's completion queue.
+///  * ServeStats stay per snapshot: the dispatcher bumps the scheduler
+///    counters on the engine of the snapshot each batch pinned.
+///
 /// Incremental maintenance — *delta-aware rebuilds*:
 ///
 ///  * TemporalGraph::AppendEdges reports an EdgeDelta alongside the new
@@ -59,7 +88,8 @@
 ///    shared_ptr) every k-slice with k > delta.max_core_bound: no appended
 ///    edge can sit inside such a k-core, so those slices are provably
 ///    bit-identical to a from-scratch build. Only the dirty slices rebuild
-///    over the pool. A reused slice carries its emergence table with it.
+///    over the update pool. A reused slice carries its emergence table
+///    with it.
 ///  * The successor engine's query cache is seeded with the predecessor's
 ///    entries whose (k, range) lies in a provably-clean slice region
 ///    (QueryEngine::CarryOverCacheFrom) instead of starting cold.
@@ -67,6 +97,91 @@
 ///    aggregates into LiveStats::update (UpdateStats).
 
 namespace tkc {
+
+/// One batch submission: the queries and the deadline bounding the whole
+/// batch (unlimited by default).
+struct BatchRequest {
+  std::vector<Query> queries;
+  Deadline deadline;
+};
+
+/// The completed answer to one batch.
+struct BatchResult {
+  std::vector<RunOutcome> outcomes;  ///< outcomes[i] answers queries[i]
+  /// Version of the graph snapshot the batch executed against.
+  uint64_t snapshot_version = 0;
+  /// Caller-chosen correlation tag (completion-queue submissions only).
+  uint64_t tag = 0;
+};
+
+/// Receives a submitted batch's result exactly once — on a pool thread,
+/// inline on a 1-thread pool, or on the submitter's thread when the batch
+/// is dropped at submission. The live engine destroys it (with whatever it
+/// captures) right after it returns, before the batch's drain ticket is
+/// released.
+using Completion = std::function<void(BatchResult&&)>;
+
+/// A caller-owned queue of finished batches for event-loop-shaped clients
+/// that multiplex many in-flight batches without holding futures: submit
+/// with CompletionFor(tag), and the engine pushes each finished BatchResult
+/// stamped with its tag; the client pops with Next. Bounded: a slow
+/// consumer eventually blocks the pool workers delivering completions,
+/// which is the intended backpressure.
+class BatchCompletionQueue {
+ public:
+  explicit BatchCompletionQueue(size_t capacity = 1024) : queue_(capacity) {}
+
+  /// Destruction shuts down first, so a queue dying under a slow consumer
+  /// cannot be freed while an engine-side Deliver still touches it.
+  ~BatchCompletionQueue() { Shutdown(); }
+
+  /// Blocks for the next finished batch; false once Shutdown() was called
+  /// and every delivered batch has been popped.
+  bool Next(BatchResult* out) { return queue_.Pop(out); }
+
+  /// Unblocks every Deliver stuck on a full queue (its result is dropped),
+  /// waits for in-flight deliveries to leave the queue, then wakes blocked
+  /// consumers once the delivered backlog drains. After Shutdown returns no
+  /// engine-side Deliver touches this object, so destroying it is safe even
+  /// if a consumer stalled while batches were still completing. Idempotent.
+  void Shutdown() TKC_EXCLUDES(mu_) {
+    queue_.Close();
+    MutexLock lock(mu_);
+    while (delivering_ != 0) idle_.Wait(mu_);
+  }
+
+  /// A completion that stamps `tag` on the result and delivers it here.
+  /// This queue must outlive the delivery (drain the engine before
+  /// destroying it).
+  Completion CompletionFor(uint64_t tag) {
+    return [this, tag](BatchResult&& result) {
+      result.tag = tag;
+      Deliver(std::move(result));
+    };
+  }
+
+  /// Engine-side delivery (blocks while the queue is full; unblocked — with
+  /// the result dropped — by Shutdown()). Two scoped acquisitions bracket
+  /// the potentially-blocking Push, which must not run under the mutex (it
+  /// would deadlock Shutdown's wait against a full queue).
+  void Deliver(BatchResult result) TKC_EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      ++delivering_;
+    }
+    queue_.Push(std::move(result));
+    MutexLock lock(mu_);
+    // Notify under the mutex: a Shutdown() waiter may destroy this object
+    // the instant it observes delivering_ == 0.
+    if (--delivering_ == 0) idle_.NotifyAll();
+  }
+
+ private:
+  BoundedMpscQueue<BatchResult> queue_;
+  Mutex mu_;
+  CondVar idle_;
+  size_t delivering_ TKC_GUARDED_BY(mu_) = 0;
+};
 
 /// Cumulative counters of the delta-aware updater. Exposed via
 /// LiveQueryEngine::update_stats() and printed by `tkc_cli --updates`.
@@ -123,9 +238,6 @@ enum class HealthState {
   kUpdatesFailed,  ///< a cycle exhausted its retries; updates are failing
 };
 
-/// "Healthy" / "Degraded" / "UpdatesFailed".
-const char* HealthStateName(HealthState state);
-
 /// One immutable graph version with its serving engine. Always heap-owned
 /// via shared_ptr (Create returns one) so in-flight batches can pin it past
 /// a swap; never copied or moved (the engine holds a pointer to the graph).
@@ -149,16 +261,17 @@ class GraphSnapshot {
       TemporalGraph graph, uint64_t version,
       const QueryEngineOptions& options);
 
-  /// Builds the successor of `base` for an applied update: when `base` has
-  /// an admission index and `options` wants one, the successor's index is
-  /// produced by the delta-aware PhcIndex::Rebuild (clean slices shared by
-  /// pointer) and the successor's query cache is seeded with base's
-  /// provably still-valid entries; otherwise this is Create plus
-  /// bookkeeping. swap_stats() records what was reused.
+  /// Builds the successor of `base` for an applied update. When `options`
+  /// wants an admission index, it is built on `update_pool` — by the
+  /// delta-aware PhcIndex::Rebuild (clean slices shared by pointer) when
+  /// `base` has one, from scratch otherwise — and handed to the engine
+  /// preloaded, so no index work runs on the serving pool. The successor's
+  /// query cache is seeded with base's provably still-valid entries.
+  /// swap_stats() records what was reused.
   [[nodiscard]] static StatusOr<std::shared_ptr<const GraphSnapshot>>
-  CreateSuccessor(
-      const GraphSnapshot& base, GraphUpdate update, uint64_t version,
-      const QueryEngineOptions& options);
+  CreateSuccessor(const GraphSnapshot& base, GraphUpdate update,
+                  uint64_t version, const QueryEngineOptions& options,
+                  ThreadPool* update_pool);
 
   GraphSnapshot(const GraphSnapshot&) = delete;
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;
@@ -191,24 +304,16 @@ class GraphSnapshot {
 
 /// Configuration of a LiveQueryEngine.
 struct LiveEngineOptions {
-  /// Per-snapshot engine configuration (pool, cache, admission index,
-  /// async queue bound). Applied to every rebuilt snapshot.
+  /// Per-snapshot engine configuration (serving pool, cache, admission
+  /// index), applied to every rebuilt snapshot. The serving pool also runs
+  /// the request queue's dispatcher and the initial snapshot's index build.
   QueryEngineOptions engine;
 
-  /// Pool the updater's graph+index rebuilds fan out over. Deliberately
-  /// NOT the serving pool: a rebuild sliced over the serving pool starves
-  /// in-flight query batches for its whole duration (at 2 serving threads
-  /// the one background worker is shared by the async dispatcher, batch
-  /// leaders, and rebuild slices — during-update throughput collapsed to
-  /// ~2% of idle). nullptr makes the live engine own a dedicated pool of
-  /// update_pool_threads; a caller-provided pool must outlive the engine.
-  ThreadPool* update_pool = nullptr;
-
-  /// Size of the internally-owned update pool when update_pool is null; 0
-  /// matches the serving pool's thread count capped at the hardware core
-  /// count (extra rebuild threads past real cores would only oversubscribe
-  /// the machine against serving).
-  size_t update_pool_threads = 0;
+  /// Bound of the request queue: at most this many async batches wait for
+  /// dispatch, whatever snapshot they pinned; further unlimited-deadline
+  /// Submit calls block until room frees up (producer backpressure, never
+  /// an unbounded backlog).
+  size_t async_queue_capacity = 256;
 
   /// Bound of the update queue: at most this many ApplyUpdates batches
   /// wait for the updater thread; further calls block (backpressure).
@@ -245,7 +350,8 @@ struct LiveStats {
 
 /// A QueryEngine that stays correct while edges keep arriving: serves every
 /// submission from a pinned immutable snapshot and applies updates by
-/// building and atomically swapping in the successor snapshot.
+/// building and atomically swapping in the successor snapshot. Owns the one
+/// async request queue and its dispatcher (see the file comment).
 class LiveQueryEngine {
  public:
   /// Stands up version 0 from `initial_graph` and starts the updater
@@ -257,10 +363,8 @@ class LiveQueryEngine {
   /// Runs Shutdown() (see below — in particular, destroying an engine
   /// whose pause gate is still held *releases* queued batches with
   /// FailedPrecondition rather than silently applying them or hanging the
-  /// updater), then drains every live snapshot's async batches. Batches
-  /// pinned to older snapshots may still be completing; their pins keep
-  /// those snapshots (and their engines) alive independently of this
-  /// object.
+  /// updater), which also drains every accepted async batch, whatever
+  /// snapshot it pinned.
   ~LiveQueryEngine();
 
   LiveQueryEngine(const LiveQueryEngine&) = delete;
@@ -278,19 +382,26 @@ class LiveQueryEngine {
   /// Serves synchronously on the calling thread against the pinned current
   /// snapshot (see QueryEngine::ServeBatch, including the deadline's
   /// Timeout semantics); the result's snapshot_version records which one.
+  /// Runs no queue.
   BatchResult ServeBatch(const std::vector<Query>& queries,
                          const Deadline& deadline = {});
 
-  /// Async submission against the pinned current snapshot (see
-  /// QueryEngine::Submit for queueing, backpressure and shedding). `done`
-  /// receives the result stamped with the pinned version; the pin lives
-  /// until the engine has released the batch, so the snapshot outlasts
-  /// every task that touches it.
-  void Submit(BatchRequest request, Completion done);
+  /// Pins the current snapshot and enqueues the batch on the request
+  /// queue; `done` receives its result exactly once, stamped with the
+  /// pinned version. Any number of threads may submit concurrently;
+  /// batches dispatch FIFO but complete in any order (later batches
+  /// overlap earlier ones). An unlimited-deadline request blocks while the
+  /// queue is full. A finite-deadline request never blocks (see the shed
+  /// policy in the file comment): its result carries served outcomes,
+  /// all-`Timeout` outcomes (deadline expired before execution), or
+  /// all-`ResourceExhausted` outcomes (shed by the eviction contest).
+  void Submit(BatchRequest request, Completion done)
+      TKC_EXCLUDES(inflight_mu_);
 
   /// Submit adapted to a future.
   std::future<BatchResult> SubmitAsync(std::vector<Query> queries,
-                                       const Deadline& deadline = {});
+                                       const Deadline& deadline = {})
+      TKC_EXCLUDES(inflight_mu_);
 
   /// Enqueues one batch of edges for ingestion. Returns immediately with a
   /// future that resolves once a snapshot containing this batch has been
@@ -325,17 +436,16 @@ class LiveQueryEngine {
   /// engine-side delivery will touch a caller-owned BatchCompletionQueue.
   /// Serving (ServeBatch / Submit / snapshot) stays available.
   /// Idempotent; the destructor calls it first.
-  void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_);
+  void Shutdown() TKC_EXCLUDES(pause_mu_, shutdown_mu_, inflight_mu_);
 
-  /// Blocks until every async batch accepted so far — against the current
-  /// snapshot *or any superseded one that is still alive* — has delivered
-  /// its result (its Completion returned: a future settled, or a
-  /// BatchCompletionQueue delivery finished). The contract a server's
-  /// teardown needs: after DrainAsync, destroying a completion queue the
-  /// engine was delivering into cannot race a delivery. Does not block new
-  /// submissions; callers wanting a true quiesce stop submitting first.
-  /// Idempotent, callable repeatedly.
-  void DrainAsync() TKC_EXCLUDES(snapshots_mu_);
+  /// Blocks until every async batch accepted so far, whatever snapshot it
+  /// pinned, has delivered its result (its Completion returned: a future
+  /// settled, or a BatchCompletionQueue delivery finished) and released
+  /// its pin. The contract a server's teardown needs: after DrainAsync,
+  /// destroying a completion queue the engine was delivering into cannot
+  /// race a delivery. Does not block new submissions; callers wanting a
+  /// true quiesce stop submitting first. Idempotent, callable repeatedly.
+  void DrainAsync() TKC_EXCLUDES(inflight_mu_);
 
   LiveStats stats() const TKC_EXCLUDES(stats_mu_);
 
@@ -356,13 +466,22 @@ class LiveQueryEngine {
     std::shared_ptr<std::promise<Status>> done;
   };
 
+  /// One queued submission: the request, its exactly-once completion, and
+  /// the snapshot it pinned at submission.
+  struct QueuedBatch {
+    BatchRequest request;
+    Completion done;
+    std::shared_ptr<const GraphSnapshot> pin;
+  };
+  /// One dispatched batch's shared in-flight state (defined in snapshot.cc).
+  struct DispatchedBatch;
+
   LiveQueryEngine(std::shared_ptr<const GraphSnapshot> initial,
                   const LiveEngineOptions& options);
 
   /// Updater thread body: pops update batches, coalesces whatever else is
   /// queued, rebuilds (with retry/backoff on transient failure), swaps.
-  void UpdaterLoop()
-      TKC_EXCLUDES(pause_mu_, stats_mu_, snapshots_mu_, current_mu_);
+  void UpdaterLoop() TKC_EXCLUDES(pause_mu_, stats_mu_, current_mu_);
 
   /// One rebuild cycle's attempt loop: returns the final status, the built
   /// successor on success, and accounts retries/degradation/health.
@@ -373,6 +492,23 @@ class LiveQueryEngine {
       TKC_EXCLUDES(pause_mu_, stats_mu_);
 
   void SetHealth(HealthState state) TKC_EXCLUDES(stats_mu_);
+
+  // The async scheduler: Submit -> request_queue_ -> one dispatcher task at
+  // a time -> one pool task per distinct miss -> FinishBatch.
+  void ScheduleDispatcher() TKC_EXCLUDES(inflight_mu_);
+  void DispatchBatches() TKC_EXCLUDES(inflight_mu_);
+  void ProcessBatch(QueuedBatch batch) TKC_EXCLUDES(inflight_mu_);
+  /// Fans leader outcomes out to in-batch duplicates, then FinishBatch.
+  void FinishExecutedBatch(DispatchedBatch* state) TKC_EXCLUDES(inflight_mu_);
+  /// Settles a batch dropped before execution: every outcome gets `status`.
+  void DropBatch(QueuedBatch* batch, const Status& status)
+      TKC_EXCLUDES(inflight_mu_);
+  /// Delivers `result` stamped with the pinned version, destroys the
+  /// batch's completion and pin, then releases its drain ticket.
+  void FinishBatch(QueuedBatch* batch, BatchResult result)
+      TKC_EXCLUDES(inflight_mu_);
+  void AcquireTicket() TKC_EXCLUDES(inflight_mu_);
+  void ReleaseTicket() TKC_EXCLUDES(inflight_mu_);
 
   LiveEngineOptions options_;
   /// options_.engine minus preloaded_index: a preloaded admission index
@@ -390,20 +526,27 @@ class LiveQueryEngine {
   /// sanitizer reports as a race against the store.)
   mutable Mutex current_mu_;
   std::shared_ptr<const GraphSnapshot> current_ TKC_GUARDED_BY(current_mu_);
-  /// Guards all_snapshots_ (bookkeeping only — never on the serve path).
-  mutable Mutex snapshots_mu_;
-  /// Every version ever swapped in that may still be alive, so the
-  /// destructor can drain batches pinned to superseded snapshots (their
-  /// completion-queue deliveries must finish before the caller tears the
-  /// queue down). Expired entries are pruned on each swap.
-  std::vector<std::weak_ptr<const GraphSnapshot>> all_snapshots_
-      TKC_GUARDED_BY(snapshots_mu_);
 
-  /// Internally-owned dedicated update pool (LiveEngineOptions::update_pool
-  /// null); rebuild_engine_options_.index_build_pool points at it (or at
-  /// the caller's update_pool) so PhcIndex::Rebuild never touches the
-  /// serving pool.
-  std::unique_ptr<ThreadPool> owned_update_pool_;
+  /// Every snapshot's engine serves on this pool; the dispatcher and the
+  /// leader tasks run on it too.
+  ThreadPool* serve_pool_;
+  /// Where the updater's index rebuilds fan out: the serving pool's width,
+  /// capped at the hardware core count, and deliberately NOT the serving
+  /// pool — a rebuild sliced over the serving pool starves in-flight query
+  /// batches for its whole duration (at 2 serving threads during-update
+  /// throughput collapsed to ~2% of idle).
+  ThreadPool update_pool_;
+
+  /// The request queue, bounded by async_queue_capacity across snapshots.
+  BoundedMpscQueue<QueuedBatch> request_queue_;
+  /// True while a dispatcher task owns the queue.
+  std::atomic<bool> dispatcher_scheduled_{false};
+  /// Drain tickets: one per accepted batch plus one for the running
+  /// dispatcher task, so DrainAsync returning means no task still holds a
+  /// pin or touches this engine.
+  Mutex inflight_mu_;
+  CondVar drained_;
+  uint64_t inflight_ TKC_GUARDED_BY(inflight_mu_) = 0;
 
   mutable Mutex stats_mu_;
   LiveStats stats_ TKC_GUARDED_BY(stats_mu_);
@@ -429,8 +572,8 @@ class LiveQueryEngine {
 
   /// FIFO of pending update batches feeding the updater thread. The
   /// updater is a dedicated thread (not a pool task), and the rebuild's
-  /// PhcIndex::Build/Rebuild fans out over the dedicated update pool, never
-  /// the serving pool.
+  /// PhcIndex::Build/Rebuild fans out over update_pool_, never the serving
+  /// pool.
   BoundedMpscQueue<UpdateRequest> update_queue_;
   /// Started in the constructor; joined exactly once, under shutdown_mu_
   /// (the guard is what makes concurrent Shutdown calls safe).

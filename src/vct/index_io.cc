@@ -13,7 +13,6 @@ namespace tkc {
 namespace {
 
 constexpr uint32_t kVctMagic = 0x56434b54;  // "TKCV" little-endian
-constexpr uint32_t kEcsMagic = 0x45434b54;  // "TKCE"
 constexpr uint32_t kPhcMagic = 0x50434b54;  // "TKCP"
 constexpr uint32_t kVersion = 1;
 
@@ -167,73 +166,6 @@ StatusOr<VertexCoreTimeIndex> DeserializeVctIndex(const std::string& bytes) {
                                             emissions);
 }
 
-std::string SerializeEcs(const EdgeCoreWindowSkyline& ecs) {
-  std::string out;
-  PutU32(&out, kEcsMagic);
-  PutU32(&out, kVersion);
-  PutU32(&out, ecs.range().start);
-  PutU32(&out, ecs.range().end);
-  PutU32(&out, ecs.first_edge());
-  PutU32(&out, ecs.last_edge());
-  PutU64(&out, ecs.size());
-  for (EdgeId e = ecs.first_edge(); e < ecs.last_edge(); ++e) {
-    auto windows = ecs.WindowsOf(e);
-    PutU32(&out, static_cast<uint32_t>(windows.size()));
-    for (const Window& w : windows) {
-      PutU32(&out, w.start);
-      PutU32(&out, w.end);
-    }
-  }
-  return out;
-}
-
-StatusOr<EdgeCoreWindowSkyline> DeserializeEcs(const std::string& bytes) {
-  Reader reader(bytes);
-  uint32_t magic, version, rs, re, first_edge, last_edge;
-  uint64_t total;
-  if (!reader.ReadU32(&magic) || magic != kEcsMagic) {
-    return Status::Corruption("bad ECS magic");
-  }
-  if (!reader.ReadU32(&version) || version != kVersion) {
-    return Status::Corruption("unsupported ECS version");
-  }
-  if (!reader.ReadU32(&rs) || !reader.ReadU32(&re) ||
-      !reader.ReadU32(&first_edge) || !reader.ReadU32(&last_edge) ||
-      !reader.ReadU64(&total)) {
-    return Status::Corruption("truncated ECS header");
-  }
-  if (rs < 1 || rs > re || re == kInfTime || first_edge > last_edge) {
-    return Status::Corruption("invalid ECS header fields");
-  }
-  std::vector<std::pair<EdgeId, Window>> emissions;
-  emissions.reserve(total);
-  for (EdgeId e = first_edge; e < last_edge; ++e) {
-    uint32_t count;
-    if (!reader.ReadU32(&count)) return Status::Corruption("truncated ECS");
-    Window prev{0, 0};
-    for (uint32_t i = 0; i < count; ++i) {
-      Window w;
-      if (!reader.ReadU32(&w.start) || !reader.ReadU32(&w.end)) {
-        return Status::Corruption("truncated ECS windows");
-      }
-      if (w.start < rs || w.end > re || w.start > w.end) {
-        return Status::Corruption("ECS window outside range");
-      }
-      if (i > 0 && (w.start <= prev.start || w.end <= prev.end)) {
-        return Status::Corruption("ECS windows violate skyline order");
-      }
-      prev = w;
-      emissions.push_back({e, w});
-    }
-  }
-  if (!reader.AtEnd()) return Status::Corruption("trailing bytes in ECS");
-  if (emissions.size() != total) {
-    return Status::Corruption("ECS window count mismatch");
-  }
-  return EdgeCoreWindowSkyline::FromEmissions(first_edge, last_edge,
-                                              Window{rs, re}, emissions);
-}
-
 std::string SerializePhcIndex(const PhcIndex& index) {
   std::string out;
   PutU32(&out, kPhcMagic);
@@ -296,29 +228,6 @@ StatusOr<PhcIndex> DeserializePhcIndex(const std::string& bytes) {
     return Status::Corruption(index.status().message());
   }
   return index;
-}
-
-Status SaveVctIndex(const VertexCoreTimeIndex& index,
-                    const std::string& path) {
-  return WriteFile(path, SerializeVctIndex(index));
-}
-
-StatusOr<VertexCoreTimeIndex> LoadVctIndex(const std::string& path) {
-  std::string bytes;
-  TKC_RETURN_IF_ERROR(ReadFile(path, &bytes));
-  MaybeCorruptLoadedBytes(&bytes);
-  return DeserializeVctIndex(bytes);
-}
-
-Status SaveEcs(const EdgeCoreWindowSkyline& ecs, const std::string& path) {
-  return WriteFile(path, SerializeEcs(ecs));
-}
-
-StatusOr<EdgeCoreWindowSkyline> LoadEcs(const std::string& path) {
-  std::string bytes;
-  TKC_RETURN_IF_ERROR(ReadFile(path, &bytes));
-  MaybeCorruptLoadedBytes(&bytes);
-  return DeserializeEcs(bytes);
 }
 
 Status SavePhcIndex(const PhcIndex& index, const std::string& path) {

@@ -4,34 +4,29 @@
 #include <string>
 
 #include "util/status.h"
-#include "vct/ecs.h"
 #include "vct/phc_index.h"
 #include "vct/vct_index.h"
 
 /// \file index_io.h
-/// Binary (de)serialization of the per-query indexes, so expensive CoreTime
-/// phases can be computed once and reused across analysis sessions — the
-/// same operational pattern as persisting the PHC index in Yu et al.
+/// Binary (de)serialization of the multi-k PHC index — the admission index
+/// a QueryEngine builds at start-up — so it is built once and reloaded
+/// (QueryEngineOptions::preloaded_index), the same operational pattern as
+/// persisting the PHC index in Yu et al.
 ///
-/// Format: little-endian, versioned, with magic tags ("TKCV" / "TKCE"), a
-/// fixed header and the raw CSR arrays. Loads validate magic, version and
-/// structural invariants (offset monotonicity, window sanity) and return
+/// Format: little-endian and versioned. A "TKCP" container holds a fixed
+/// header and one length-prefixed block per k-slice; each block is a
+/// "TKCV" VCT encoding (magic, version, header, then the raw CSR rows).
+/// Loads validate magic, version and structural invariants (offset
+/// monotonicity, window sanity, cross-slice ranges) and return
 /// Status::Corruption on malformed input rather than crashing.
 
 namespace tkc {
 
-/// Serializes a VCT index to a byte string.
+/// Serializes one VCT slice ("TKCV"): the PHC container's slice codec.
 std::string SerializeVctIndex(const VertexCoreTimeIndex& index);
 
-/// Parses a VCT index; Corruption on any structural violation.
+/// Parses one VCT slice; Corruption on any structural violation.
 [[nodiscard]] StatusOr<VertexCoreTimeIndex> DeserializeVctIndex(
-    const std::string& bytes);
-
-/// Serializes an ECS to a byte string.
-std::string SerializeEcs(const EdgeCoreWindowSkyline& ecs);
-
-/// Parses an ECS; Corruption on any structural violation.
-[[nodiscard]] StatusOr<EdgeCoreWindowSkyline> DeserializeEcs(
     const std::string& bytes);
 
 /// Serializes a full multi-k PHC index ("TKCP" container: header +
@@ -44,14 +39,7 @@ std::string SerializePhcIndex(const PhcIndex& index);
 /// per-slice VCT violations and cross-slice range mismatches).
 [[nodiscard]] StatusOr<PhcIndex> DeserializePhcIndex(const std::string& bytes);
 
-/// File convenience wrappers.
-[[nodiscard]] Status SaveVctIndex(const VertexCoreTimeIndex& index,
-                                  const std::string& path);
-[[nodiscard]] StatusOr<VertexCoreTimeIndex> LoadVctIndex(
-    const std::string& path);
-[[nodiscard]] Status SaveEcs(const EdgeCoreWindowSkyline& ecs,
-                             const std::string& path);
-[[nodiscard]] StatusOr<EdgeCoreWindowSkyline> LoadEcs(const std::string& path);
+/// File wrappers around SerializePhcIndex / DeserializePhcIndex.
 [[nodiscard]] Status SavePhcIndex(const PhcIndex& index,
                                   const std::string& path);
 [[nodiscard]] StatusOr<PhcIndex> LoadPhcIndex(const std::string& path);

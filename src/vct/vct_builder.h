@@ -22,14 +22,20 @@
 ///    CT(u) = k-th smallest over distinct window-neighbors v of
 ///            max(CT(v), earliest edge time of (u,v) that is >= s+1)
 ///
-/// that dominates the previous core times. We prove both directions (any
-/// fixpoint dominates the true core times; monotone worklist iteration from
-/// the previous values converges to exactly the true core times) in
-/// DESIGN.md §2, and validate against the naive builder in tests. Only the
-/// endpoints of removed edges seed the worklist; every later recomputation
-/// is triggered by an actual neighbor change, so total work is bounded by
-/// sum over core-time changes of the changing vertex's degree — the paper's
-/// O(|VCT| * deg_avg).
+/// that dominates the previous core times. Write Phi(y)(u) for the
+/// right-hand side evaluated on values y. Why the result is exact, in both
+/// directions: (i) any y with Phi(y) <= y dominates the true core times —
+/// for every te, each u with y(u) <= te has k window-neighbours v with
+/// max(y(v), t_uv) <= te, so those vertices induce a k-core subgraph of
+/// [s+1, te] and lie in its k-core; (ii) the previous core times are a
+/// lower bound (removing edges only delays cores), the true core times are
+/// a fixpoint and Phi is monotone, so the worklist iteration rising from
+/// the previous values never passes them and stops at a y with
+/// Phi(y) <= y — by (i), exactly the true core times. Tests validate this
+/// against the naive builder. Only the endpoints of removed edges seed the
+/// worklist; every later recomputation is triggered by an actual neighbor
+/// change, so total work is bounded by sum over core-time changes of the
+/// changing vertex's degree — the paper's O(|VCT| * deg_avg).
 ///
 /// ECS byproduct (Lemma 1 + Lemma 2). Every live edge carries its edge core
 /// time ect(e) = max(CT(u), CT(v), t). When a transition s -> s+1 raises

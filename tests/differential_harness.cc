@@ -184,7 +184,7 @@ DifferentialReport RunDifferentialScenario(const DifferentialConfig& config) {
   options.engine.pool = &pool;
   options.engine.build_index = rng.NextBool(0.5);
   options.engine.cache_capacity = rng.NextBool(0.25) ? 0 : 64;
-  options.engine.async_queue_capacity = 4;  // small: exercise backpressure
+  options.async_queue_capacity = 4;  // small: exercise backpressure
   options.update_queue_capacity = 4;
   // Incremental mode exists to validate the delta-aware index maintenance,
   // so there must be an index to maintain.

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -688,6 +690,116 @@ TEST(LiveQueryEngineTest, FailedUpdateKeepsServingOldSnapshot) {
   EXPECT_EQ((*live)->stats().swaps, 1u);
   BatchResult result = (*live)->ServeBatch({Query{2, g.FullRange()}});
   EXPECT_TRUE(result.outcomes[0].status.ok());
+}
+
+// The request queue, its bound and its shed contest belong to the live
+// engine, not to a snapshot: a batch queued before a swap still holds the
+// one slot and still enters the contest against batches pinned after it.
+TEST(LiveQueryEngineTest, QueueBoundAndShedContestSpanSwaps) {
+  TemporalGraph g = GenerateUniformRandom(30, 400, 20, 5);
+  const std::vector<Query> queries = {Query{2, g.FullRange()},
+                                      Query{3, Window{2, 12}}};
+  ThreadPool pool(2);
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  options.async_queue_capacity = 1;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  std::shared_ptr<const GraphSnapshot> v0 = (*live)->snapshot();
+
+  // Wedge both serving workers: nothing dispatches until `release`.
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  for (int w = 0; w < 2; ++w) {
+    pool.Submit([gate] { gate.wait(); });
+  }
+  std::future<BatchResult> a =
+      (*live)->SubmitAsync(queries, Deadline::AfterSeconds(5.0));
+  // The updater and the update pool are not wedged, so the swap lands.
+  ASSERT_TRUE((*live)
+                  ->ApplyUpdates({{0, 1, g.RawTimestamp(g.num_timestamps())}})
+                  .get()
+                  .ok());
+  std::shared_ptr<const GraphSnapshot> v1 = (*live)->snapshot();
+  ASSERT_EQ(v1->version(), 1u);
+
+  // B (more remaining deadline) evicts A from the one slot although A
+  // pinned the previous snapshot, so A is settled before B's Submit
+  // returns; C (least remaining of all) then loses its own contest.
+  std::future<BatchResult> b =
+      (*live)->SubmitAsync(queries, Deadline::AfterSeconds(50.0));
+  ASSERT_EQ(a.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  std::future<BatchResult> c =
+      (*live)->SubmitAsync(queries, Deadline::AfterSeconds(0.5));
+  ASSERT_EQ(c.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  BatchResult shed_a = a.get();
+  BatchResult shed_c = c.get();
+  EXPECT_EQ(shed_a.snapshot_version, 0u);
+  EXPECT_EQ(shed_c.snapshot_version, 1u);
+  for (const BatchResult* shed : {&shed_a, &shed_c}) {
+    ASSERT_EQ(shed->outcomes.size(), queries.size());
+    for (const RunOutcome& out : shed->outcomes) {
+      EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
+    }
+  }
+
+  release.set_value();
+  BatchResult served = b.get();
+  EXPECT_EQ(served.snapshot_version, 1u);
+  ASSERT_EQ(served.outcomes.size(), queries.size());
+  for (const RunOutcome& out : served.outcomes) {
+    EXPECT_TRUE(out.status.ok()) << out.status.ToString();
+  }
+
+  // Each batch is counted on the engine of the snapshot it pinned.
+  const ServeStats s0 = v0->engine().stats();
+  const ServeStats s1 = v1->engine().stats();
+  EXPECT_EQ(s0.async_batches, 1u);
+  EXPECT_EQ(s0.batches_shed, 1u);
+  EXPECT_EQ(s1.async_batches, 2u);
+  EXPECT_EQ(s1.batches_shed, 1u);
+}
+
+// DrainAsync covers batches pinned to a superseded snapshot: once it
+// returns, no delivery into a caller's completion queue is outstanding,
+// whatever version the batch pinned.
+TEST(LiveQueryEngineTest, DrainAsyncCoversBatchesPinnedBeforeASwap) {
+  TemporalGraph g = GenerateUniformRandom(30, 400, 20, 5);
+  const std::vector<Query> queries = {Query{2, g.FullRange()},
+                                      Query{3, Window{2, 12}}};
+  ThreadPool pool(2);
+  LiveEngineOptions options;
+  options.engine.pool = &pool;
+  auto live = LiveQueryEngine::Create(g, options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  BatchCompletionQueue cq;
+
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  for (int w = 0; w < 2; ++w) {
+    pool.Submit([gate] { gate.wait(); });
+  }
+  (*live)->Submit({queries, Deadline()}, cq.CompletionFor(0));
+  ASSERT_TRUE((*live)
+                  ->ApplyUpdates({{0, 1, g.RawTimestamp(g.num_timestamps())}})
+                  .get()
+                  .ok());
+  (*live)->Submit({queries, Deadline()}, cq.CompletionFor(1));
+  release.set_value();
+  (*live)->DrainAsync();
+  cq.Shutdown();
+
+  std::set<uint64_t> tags;
+  std::set<uint64_t> versions;
+  BatchResult result;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(cq.Next(&result)) << i;
+    tags.insert(result.tag);
+    versions.insert(result.snapshot_version);
+  }
+  EXPECT_FALSE(cq.Next(&result));
+  EXPECT_EQ(tags, (std::set<uint64_t>{0, 1}));
+  EXPECT_EQ(versions, (std::set<uint64_t>{0, 1}));
 }
 
 }  // namespace

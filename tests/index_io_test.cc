@@ -1,7 +1,7 @@
-// Round-trip and corruption-handling tests of the index serialization,
-// including the full-PHC container and the QueryEngine persist/load path
-// (a loaded admission index must answer a query corpus identically to the
-// freshly built engine).
+// Round-trip and corruption-handling tests of the index serialization: the
+// full-PHC container, the VCT slice codec it is built from, and the
+// QueryEngine persist/load path (a loaded admission index must answer a
+// query corpus identically to the freshly built engine).
 
 #include "vct/index_io.h"
 
@@ -33,33 +33,12 @@ void ExpectVctEqual(const VertexCoreTimeIndex& a,
   }
 }
 
-void ExpectEcsEqual(const EdgeCoreWindowSkyline& a,
-                    const EdgeCoreWindowSkyline& b) {
-  ASSERT_EQ(a.first_edge(), b.first_edge());
-  ASSERT_EQ(a.last_edge(), b.last_edge());
-  ASSERT_EQ(a.range(), b.range());
-  ASSERT_EQ(a.size(), b.size());
-  for (EdgeId e = a.first_edge(); e < a.last_edge(); ++e) {
-    auto wa = a.WindowsOf(e), wb = b.WindowsOf(e);
-    ASSERT_EQ(wa.size(), wb.size()) << e;
-    for (size_t i = 0; i < wa.size(); ++i) EXPECT_EQ(wa[i], wb[i]);
-  }
-}
-
 TEST(IndexIoTest, VctRoundTripBytes) {
   VctBuildResult built = BuildExample();
   std::string bytes = SerializeVctIndex(built.vct);
   auto loaded = DeserializeVctIndex(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectVctEqual(built.vct, *loaded);
-}
-
-TEST(IndexIoTest, EcsRoundTripBytes) {
-  VctBuildResult built = BuildExample();
-  std::string bytes = SerializeEcs(built.ecs);
-  auto loaded = DeserializeEcs(bytes);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectEcsEqual(built.ecs, *loaded);
 }
 
 TEST(IndexIoTest, RoundTripRandomGraphs) {
@@ -69,26 +48,7 @@ TEST(IndexIoTest, RoundTripRandomGraphs) {
     auto vct = DeserializeVctIndex(SerializeVctIndex(built.vct));
     ASSERT_TRUE(vct.ok());
     ExpectVctEqual(built.vct, *vct);
-    auto ecs = DeserializeEcs(SerializeEcs(built.ecs));
-    ASSERT_TRUE(ecs.ok());
-    ExpectEcsEqual(built.ecs, *ecs);
   }
-}
-
-TEST(IndexIoTest, FileRoundTrip) {
-  VctBuildResult built = BuildExample();
-  std::string vct_path = ::testing::TempDir() + "/tkc_index.vct";
-  std::string ecs_path = ::testing::TempDir() + "/tkc_index.ecs";
-  ASSERT_TRUE(SaveVctIndex(built.vct, vct_path).ok());
-  ASSERT_TRUE(SaveEcs(built.ecs, ecs_path).ok());
-  auto vct = LoadVctIndex(vct_path);
-  ASSERT_TRUE(vct.ok());
-  ExpectVctEqual(built.vct, *vct);
-  auto ecs = LoadEcs(ecs_path);
-  ASSERT_TRUE(ecs.ok());
-  ExpectEcsEqual(built.ecs, *ecs);
-  std::remove(vct_path.c_str());
-  std::remove(ecs_path.c_str());
 }
 
 TEST(IndexIoTest, PhcRoundTripBytesAndFile) {
@@ -223,28 +183,23 @@ TEST(IndexIoTest, BadMagicRejected) {
   bytes[0] ^= 0xFF;
   auto loaded = DeserializeVctIndex(bytes);
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  // VCT bytes are not an ECS.
-  auto as_ecs = DeserializeEcs(SerializeVctIndex(BuildExample().vct));
-  EXPECT_EQ(as_ecs.status().code(), StatusCode::kCorruption);
 }
 
 TEST(IndexIoTest, TruncationRejected) {
   std::string vct_bytes = SerializeVctIndex(BuildExample().vct);
-  std::string ecs_bytes = SerializeEcs(BuildExample().ecs);
   for (size_t cut : {size_t{3}, size_t{10}, vct_bytes.size() - 1}) {
     auto loaded = DeserializeVctIndex(vct_bytes.substr(0, cut));
-    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << cut;
-  }
-  for (size_t cut : {size_t{5}, size_t{16}, ecs_bytes.size() - 2}) {
-    auto loaded = DeserializeEcs(ecs_bytes.substr(0, cut));
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << cut;
   }
 }
 
 TEST(IndexIoTest, TrailingGarbageRejected) {
-  std::string bytes = SerializeEcs(BuildExample().ecs);
+  // Every vertex block parses; only the end-of-input check catches this.
+  std::string bytes = SerializeVctIndex(BuildExample().vct);
   bytes += "junk";
-  EXPECT_EQ(DeserializeEcs(bytes).status().code(), StatusCode::kCorruption);
+  auto loaded = DeserializeVctIndex(bytes);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(loaded.status().message(), "trailing bytes in VCT");
 }
 
 TEST(IndexIoTest, CorruptOrderingRejected) {
@@ -263,9 +218,7 @@ TEST(IndexIoTest, CorruptOrderingRejected) {
 }
 
 TEST(IndexIoTest, MissingFileIsIOError) {
-  EXPECT_EQ(LoadVctIndex("/nonexistent/x.vct").status().code(),
-            StatusCode::kIOError);
-  EXPECT_EQ(LoadEcs("/nonexistent/x.ecs").status().code(),
+  EXPECT_EQ(LoadPhcIndex("/nonexistent/x.phc").status().code(),
             StatusCode::kIOError);
 }
 

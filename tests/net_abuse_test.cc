@@ -36,7 +36,7 @@ StatusOr<std::unique_ptr<LiveQueryEngine>> MakeLive(
   TemporalGraph graph = GenerateUniformRandom(24, 160, 16, 11);
   LiveEngineOptions options;
   options.engine.pool = pool;
-  options.engine.async_queue_capacity = async_queue_capacity;
+  options.async_queue_capacity = async_queue_capacity;
   return LiveQueryEngine::Create(std::move(graph), options);
 }
 

@@ -30,7 +30,7 @@ std::unique_ptr<LiveQueryEngine> MakeLive(ThreadPool* pool,
   TemporalGraph graph = GenerateUniformRandom(24, 160, 16, 11);
   LiveEngineOptions options;
   options.engine.pool = pool;
-  options.engine.async_queue_capacity = async_queue_capacity;
+  options.async_queue_capacity = async_queue_capacity;
   auto live = LiveQueryEngine::Create(std::move(graph), options);
   EXPECT_TRUE(live.ok()) << live.status().ToString();
   return std::move(*live);

@@ -1,3 +1,7 @@
+// QueryEngine (one snapshot's serving state and ServeBatch) plus the async
+// scheduler it is served through: LiveQueryEngine's request queue,
+// dispatcher, deadline drops and shed contest, and BatchCompletionQueue.
+
 #include "serve/query_engine.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include "datasets/generators.h"
 #include "graph/graph_stats.h"
 #include "graph/window_peeler.h"
+#include "serve/snapshot.h"
 #include "util/thread_pool.h"
 
 namespace tkc {
@@ -306,25 +311,43 @@ TEST(QueryEngineIndexTest, PreloadedCappedIndexIsRejected) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
+// --- the async scheduler (LiveQueryEngine's request queue) -----------------
+//
+// No updates are applied below, so every batch pins version 0 and the
+// counters are read from that one snapshot's engine.
+
+/// A live engine over `g` serving on `pool`.
+StatusOr<std::unique_ptr<LiveQueryEngine>> MakeLive(
+    const TemporalGraph& g, ThreadPool* pool,
+    size_t async_queue_capacity = LiveEngineOptions{}.async_queue_capacity) {
+  LiveEngineOptions options;
+  options.engine.pool = pool;
+  options.async_queue_capacity = async_queue_capacity;
+  return LiveQueryEngine::Create(g, options);
+}
+
+ServeStats StatsOf(const LiveQueryEngine& live) {
+  return live.snapshot()->engine().stats();
+}
+
 TEST(QueryEngineAsyncTest, SubmitAsyncMatchesServeBatch) {
   TemporalGraph g = ServeGraph();
   GraphStats stats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, stats.kmax);
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    QueryEngineOptions options;
-    options.pool = &pool;
-    auto engine = QueryEngine::Create(g, options);
+    auto engine = MakeLive(g, &pool);
     ASSERT_TRUE(engine.ok());
-    std::vector<RunOutcome> sync = engine->ServeBatch(queries);
-    engine->ClearCache();  // async run must execute, not replay
-    std::future<BatchResult> future = engine->SubmitAsync(queries);
+    std::vector<RunOutcome> sync = (*engine)->ServeBatch(queries).outcomes;
+    // The async run must execute, not replay.
+    (*engine)->snapshot()->engine().ClearCache();
+    std::future<BatchResult> future = (*engine)->SubmitAsync(queries);
     BatchResult async = future.get();
     ASSERT_EQ(async.outcomes.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       ExpectSameResults(sync[i], async.outcomes[i], "async");
     }
-    EXPECT_EQ(engine->stats().async_batches, 1u);
+    EXPECT_EQ(StatsOf(**engine).async_batches, 1u);
   }
 }
 
@@ -333,21 +356,21 @@ TEST(QueryEngineAsyncTest, ManyOverlappingSubmissionsAllComplete) {
   GraphStats stats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, stats.kmax);
   ThreadPool pool(4);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  options.async_queue_capacity = 2;  // tiny bound: forces backpressure
-  auto engine = QueryEngine::Create(g, options);
+  // Tiny bound: forces backpressure.
+  auto engine = MakeLive(g, &pool, /*async_queue_capacity=*/2);
   ASSERT_TRUE(engine.ok());
-  std::vector<RunOutcome> reference = engine->ServeBatch(queries);
+  std::vector<RunOutcome> reference = (*engine)->ServeBatch(queries).outcomes;
   std::vector<std::future<BatchResult>> futures;
-  for (int b = 0; b < 16; ++b) futures.push_back(engine->SubmitAsync(queries));
+  for (int b = 0; b < 16; ++b) {
+    futures.push_back((*engine)->SubmitAsync(queries));
+  }
   for (std::future<BatchResult>& f : futures) {
     BatchResult result = f.get();
     for (size_t i = 0; i < queries.size(); ++i) {
       ExpectSameResults(reference[i], result.outcomes[i], "overlapping");
     }
   }
-  EXPECT_EQ(engine->stats().async_batches, 16u);
+  EXPECT_EQ(StatsOf(**engine).async_batches, 16u);
 }
 
 TEST(QueryEngineAsyncTest, CompletionQueueDeliversTaggedResults) {
@@ -355,15 +378,13 @@ TEST(QueryEngineAsyncTest, CompletionQueueDeliversTaggedResults) {
   GraphStats stats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, stats.kmax);
   ThreadPool pool(4);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
+  auto engine = MakeLive(g, &pool);
   ASSERT_TRUE(engine.ok());
-  std::vector<RunOutcome> reference = engine->ServeBatch(queries);
+  std::vector<RunOutcome> reference = (*engine)->ServeBatch(queries).outcomes;
   BatchCompletionQueue cq(8);
   constexpr uint64_t kBatches = 6;
   for (uint64_t tag = 0; tag < kBatches; ++tag) {
-    engine->Submit({queries}, cq.CompletionFor(100 + tag));
+    (*engine)->Submit({queries, Deadline()}, cq.CompletionFor(100 + tag));
   }
   uint64_t seen = 0;
   std::set<uint64_t> tags;
@@ -378,14 +399,14 @@ TEST(QueryEngineAsyncTest, CompletionQueueDeliversTaggedResults) {
   EXPECT_EQ(seen, kBatches);
   EXPECT_EQ(tags.size(), kBatches);  // every tag delivered exactly once
   EXPECT_EQ(*tags.begin(), 100u);
-  engine->DrainAsync();
+  (*engine)->DrainAsync();
 }
 
 TEST(QueryEngineAsyncTest, EmptyBatchCompletesImmediately) {
   TemporalGraph g = ServeGraph();
-  auto engine = QueryEngine::Create(g);
+  auto engine = LiveQueryEngine::Create(g);
   ASSERT_TRUE(engine.ok());
-  BatchResult result = engine->SubmitAsync({}).get();
+  BatchResult result = (*engine)->SubmitAsync({}).get();
   EXPECT_TRUE(result.outcomes.empty());
 }
 
@@ -396,12 +417,10 @@ TEST(QueryEngineAsyncTest, DestructorDrainsInFlightBatches) {
   ThreadPool pool(4);
   std::vector<std::future<BatchResult>> futures;
   {
-    QueryEngineOptions options;
-    options.pool = &pool;
-    auto engine = QueryEngine::Create(g, options);
+    auto engine = MakeLive(g, &pool);
     ASSERT_TRUE(engine.ok());
     for (int b = 0; b < 8; ++b) {
-      futures.push_back(engine->SubmitAsync(queries));
+      futures.push_back((*engine)->SubmitAsync(queries));
     }
     // The engine leaves scope with batches in flight: its destructor must
     // block until every future is fulfillable.
@@ -474,18 +493,16 @@ TEST(QueryEngineDeadlineTest, SubmitAsyncExpiredDeadlineSettlesWithTimeout) {
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
+  auto engine = MakeLive(g, &pool);
   ASSERT_TRUE(engine.ok());
   BatchResult result =
-      engine->SubmitAsync(queries, Deadline::AfterSeconds(-1.0)).get();
+      (*engine)->SubmitAsync(queries, Deadline::AfterSeconds(-1.0)).get();
   ASSERT_EQ(result.outcomes.size(), queries.size());
   for (const RunOutcome& out : result.outcomes) {
     EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
   }
-  EXPECT_EQ(engine->stats().deadlines_expired, 1u);
-  EXPECT_EQ(engine->stats().executed, 0u);
+  EXPECT_EQ(StatsOf(**engine).deadlines_expired, 1u);
+  EXPECT_EQ(StatsOf(**engine).executed, 0u);
 }
 
 TEST(QueryEngineDeadlineTest, BatchExpiringInQueueIsDroppedAtDispatch) {
@@ -493,9 +510,7 @@ TEST(QueryEngineDeadlineTest, BatchExpiringInQueueIsDroppedAtDispatch) {
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
+  auto engine = MakeLive(g, &pool);
   ASSERT_TRUE(engine.ok());
 
   // Block every pool worker so the dispatcher cannot run until released;
@@ -506,15 +521,15 @@ TEST(QueryEngineDeadlineTest, BatchExpiringInQueueIsDroppedAtDispatch) {
     pool.Submit([gate] { gate.wait(); });
   }
   std::future<BatchResult> future =
-      engine->SubmitAsync(queries, Deadline::AfterSeconds(0.05));
+      (*engine)->SubmitAsync(queries, Deadline::AfterSeconds(0.05));
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   release.set_value();
   BatchResult result = future.get();
   for (const RunOutcome& out : result.outcomes) {
     EXPECT_EQ(out.status.code(), StatusCode::kTimeout);
   }
-  EXPECT_EQ(engine->stats().deadlines_expired, 1u);
-  EXPECT_EQ(engine->stats().executed, 0u);
+  EXPECT_EQ(StatsOf(**engine).deadlines_expired, 1u);
+  EXPECT_EQ(StatsOf(**engine).executed, 0u);
 }
 
 TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
@@ -522,13 +537,11 @@ TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  options.async_queue_capacity = 1;  // one queued batch, then the contest
-  auto engine = QueryEngine::Create(g, options);
+  // One queued batch, then the contest.
+  auto engine = MakeLive(g, &pool, /*async_queue_capacity=*/1);
   ASSERT_TRUE(engine.ok());
-  std::vector<RunOutcome> reference = engine->ServeBatch(queries);
-  engine->ClearCache();
+  std::vector<RunOutcome> reference = (*engine)->ServeBatch(queries).outcomes;
+  (*engine)->snapshot()->engine().ClearCache();
 
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
@@ -539,11 +552,11 @@ TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
   // remaining of all) loses its own contest and is rejected. Throughout,
   // no submission blocks — the pool is wedged until `release`.
   std::future<BatchResult> a =
-      engine->SubmitAsync(queries, Deadline::AfterSeconds(5.0));
+      (*engine)->SubmitAsync(queries, Deadline::AfterSeconds(5.0));
   std::future<BatchResult> b =
-      engine->SubmitAsync(queries, Deadline::AfterSeconds(50.0));
+      (*engine)->SubmitAsync(queries, Deadline::AfterSeconds(50.0));
   std::future<BatchResult> c =
-      engine->SubmitAsync(queries, Deadline::AfterSeconds(0.5));
+      (*engine)->SubmitAsync(queries, Deadline::AfterSeconds(0.5));
   // A and C settle without the pool running at all.
   BatchResult shed_a = a.get();
   BatchResult shed_c = c.get();
@@ -559,7 +572,7 @@ TEST(QueryEngineShedTest, FullQueueShedsLeastRemainingDeadline) {
   for (size_t i = 0; i < queries.size(); ++i) {
     ExpectSameResults(reference[i], served.outcomes[i], "survivor");
   }
-  ServeStats stats = engine->stats();
+  ServeStats stats = StatsOf(**engine);
   EXPECT_EQ(stats.batches_shed, 2u);
   EXPECT_EQ(stats.async_batches, 3u);
 }
@@ -569,10 +582,7 @@ TEST(QueryEngineShedTest, UnlimitedDeadlineBatchIsNeverEvicted) {
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  options.async_queue_capacity = 1;
-  auto engine = QueryEngine::Create(g, options);
+  auto engine = MakeLive(g, &pool, /*async_queue_capacity=*/1);
   ASSERT_TRUE(engine.ok());
 
   std::promise<void> release;
@@ -580,9 +590,9 @@ TEST(QueryEngineShedTest, UnlimitedDeadlineBatchIsNeverEvicted) {
   for (int w = 0; w < 2; ++w) {
     pool.Submit([gate] { gate.wait(); });
   }
-  std::future<BatchResult> unlimited = engine->SubmitAsync(queries);
+  std::future<BatchResult> unlimited = (*engine)->SubmitAsync(queries);
   std::future<BatchResult> finite =
-      engine->SubmitAsync(queries, Deadline::AfterSeconds(50.0));
+      (*engine)->SubmitAsync(queries, Deadline::AfterSeconds(50.0));
   BatchResult shed = finite.get();  // the finite batch loses to unlimited
   for (const RunOutcome& out : shed.outcomes) {
     EXPECT_EQ(out.status.code(), StatusCode::kResourceExhausted);
@@ -590,7 +600,7 @@ TEST(QueryEngineShedTest, UnlimitedDeadlineBatchIsNeverEvicted) {
   release.set_value();
   BatchResult served = unlimited.get();
   EXPECT_EQ(served.outcomes.size(), queries.size());
-  EXPECT_EQ(engine->stats().batches_shed, 1u);
+  EXPECT_EQ(StatsOf(**engine).batches_shed, 1u);
 }
 
 TEST(BatchCompletionQueueTest, ShutdownUnblocksBlockedDeliver) {
@@ -613,19 +623,17 @@ TEST(BatchCompletionQueueTest, ShutdownWithEngineStillDelivering) {
   GraphStats gstats = ComputeGraphStats(g);
   std::vector<Query> queries = MixedQueries(g, gstats.kmax);
   ThreadPool pool(2);
-  QueryEngineOptions options;
-  options.pool = &pool;
-  auto engine = QueryEngine::Create(g, options);
+  auto engine = MakeLive(g, &pool);
   ASSERT_TRUE(engine.ok());
   auto cq = std::make_unique<BatchCompletionQueue>(1);
   // More finished batches than the queue holds, and no consumer: deliveries
   // beyond the first wedge pool workers inside Deliver.
   for (uint64_t tag = 0; tag < 4; ++tag) {
-    engine->Submit({queries}, cq->CompletionFor(tag));
+    (*engine)->Submit({queries, Deadline()}, cq->CompletionFor(tag));
   }
-  cq->Shutdown();        // unblocks any stuck Deliver (results dropped)
-  engine->DrainAsync();  // every batch settles; no Deliver can start later
-  cq.reset();            // and destroying the queue is now safe
+  cq->Shutdown();           // unblocks any stuck Deliver (results dropped)
+  (*engine)->DrainAsync();  // every batch settles; no Deliver can start later
+  cq.reset();               // and destroying the queue is now safe
 }
 
 }  // namespace
